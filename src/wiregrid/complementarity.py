@@ -207,24 +207,9 @@ def sweep_thickness(config: ExperimentConfig, b_values) -> list[SweepRow]:
         x = absorbed_fraction_two_beams(cfg)
         y = coverage_fraction(cfg)
         v = visibility_lower_bound(x, y)
-        if x > 0.5:
-            rows.append(
-                SweepRow(
-                    wire_thickness=b,
-                    absorbed=x,
-                    covered=y,
-                    visibility_lower=v,
-                    visibility_sq=v * v,
-                    quantum_sum=v * v,
-                    classical_whichway_lower=None,
-                    classical_sq=None,
-                    classical_sum=None,
-                    in_domain=False,
-                    note="absorbed fraction exceeds 1/2; classical bound undefined",
-                )
-            )
-            continue
-        k = classical_whichway(x)
+        in_domain = bool(x <= 0.5)  # x may be a numpy scalar; reports want a plain bool
+        k = classical_whichway(x) if in_domain else None
+        note = "" if in_domain else "absorbed fraction exceeds 1/2; classical bound undefined"
         rows.append(
             SweepRow(
                 wire_thickness=b,
@@ -234,9 +219,10 @@ def sweep_thickness(config: ExperimentConfig, b_values) -> list[SweepRow]:
                 visibility_sq=v * v,
                 quantum_sum=v * v,
                 classical_whichway_lower=k,
-                classical_sq=k * k,
-                classical_sum=k * k + v * v,
-                in_domain=True,
+                classical_sq=None if k is None else k * k,
+                classical_sum=None if k is None else k * k + v * v,
+                in_domain=in_domain,
+                note=note,
             )
         )
     return rows

@@ -136,6 +136,12 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
             f"{config.wire_count * config.wire_pitch:g} m exceeds beam_side "
             f"({config.beam_side:g} m)"
         )
+    if config.detector_half_width >= config.crossing_angle / 2.0:
+        raise ConfigError(
+            f"detector windows overlap: detector_half_width "
+            f"({config.detector_half_width:g} rad) must be < crossing_angle / 2 "
+            f"({config.crossing_angle / 2.0:g} rad)"
+        )
     if config.crossing_angle >= MAX_CROSSING_ANGLE:
         raise ConfigError(
             f"crossing_angle ({config.crossing_angle:g} rad) must be < "

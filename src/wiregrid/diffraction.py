@@ -1,12 +1,17 @@
 """Far-field diffraction of the crossed-beam wire grid.
 
-Two routes to the same pattern are provided and cross-validated:
+Every pattern the analysis uses is evaluated in closed form:
 
-* a closed-form relative intensity for the grid placed at the dark fringes
-  of two crossed coherent beams (``two_beam_grid_intensity``), and
-* a numerical Fourier-integral oracle over sampled aperture field profiles
-  (``far_field_intensity``), used with the wire-strip complement of the
-  fringe field.
+* the grid placed at the dark fringes of two crossed coherent beams
+  (``two_beam_grid_intensity``), and
+* one uniform beam on the grid, either its diffracted component alone
+  (uniform field on the wire strips) or the beam with the strips blacked
+  out (``single_beam_strip_far_field``, ``single_beam_masked_far_field``).
+
+A numerical Fourier-integral quadrature over sampled aperture field
+profiles (``far_field_amplitude``) is kept only as an independent oracle
+for those closed forms, used with the fringe field and its wire-strip
+(Babinet) complement.
 
 Everything is scalar Fraunhofer on the plane containing the beams; patterns
 carry an arbitrary overall scale, so only ratios of band integrals mean
@@ -239,6 +244,17 @@ def _masked_amplitudes(
     return amp
 
 
+def _fringe_grid(config: ExperimentConfig, max_sin_theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Aperture grid good out to ``max_sin_theta`` and the unmasked fringe field on it.
+
+    The gap spacing gives 10 samples per integrand oscillation at that angle.
+    """
+    validate_config(config)
+    d = config.wire_pitch
+    x = _aperture_grid(config, min(config.wavelength / (10.0 * max_sin_theta), d / 64.0))
+    return x, np.cos(np.pi * x / d)
+
+
 def fringe_field_profile(
     config: ExperimentConfig,
     grid_present: bool,
@@ -255,15 +271,8 @@ def fringe_field_profile(
     ``max_sin_theta`` sets the gap sampling so the profile supports far-field
     evaluation out to that angle (10 samples per integrand oscillation).
     """
-    validate_config(config)
-    d = config.wire_pitch
-    dx_gap = min(config.wavelength / (10.0 * max_sin_theta), d / 64.0)
-    x = _aperture_grid(config, dx_gap)
-    base = np.cos(np.pi * x / d)
-    if grid_present:
-        amp = _masked_amplitudes(config, x, base, keep_strips=False)
-    else:
-        amp = base
+    x, base = _fringe_grid(config, max_sin_theta)
+    amp = _masked_amplitudes(config, x, base, keep_strips=False) if grid_present else base
     return FieldProfile(x, amp, config.wavelength)
 
 
@@ -276,11 +285,7 @@ def wire_strip_complement_profile(
     unmasked fringe field node-for-node, so their far-field amplitudes add
     exactly under the shared quadrature.
     """
-    validate_config(config)
-    d = config.wire_pitch
-    dx_gap = min(config.wavelength / (10.0 * max_sin_theta), d / 64.0)
-    x = _aperture_grid(config, dx_gap)
-    base = np.cos(np.pi * x / d)
+    x, base = _fringe_grid(config, max_sin_theta)
     return FieldProfile(x, _masked_amplitudes(config, x, base, keep_strips=True), config.wavelength)
 
 
@@ -443,10 +448,6 @@ def first_peak_bounds(pattern: DiffractionPattern, side: str) -> tuple[float, fl
 # single-beam (uniform illumination) patterns
 # ---------------------------------------------------------------------------
 
-def _default_single_beam_span(config: ExperimentConfig) -> float:
-    return min(5.0 * config.wavelength / config.wire_thickness, 0.2)
-
-
 def _single_beam_theta_grid(config: ExperimentConfig, s_span: float) -> tuple[np.ndarray, float]:
     """Angular grid around the tilted beam axis: dense core, coarser tail."""
     s0 = math.sin(config.crossing_angle / 2.0)
@@ -462,58 +463,52 @@ def _single_beam_theta_grid(config: ExperimentConfig, s_span: float) -> tuple[np
     return theta, s0
 
 
-def _single_beam_profile(
-    config: ExperimentConfig, keep_strips: bool, s_span: float
-) -> FieldProfile:
-    dx_gap = config.wavelength / (10.0 * s_span)
-    x = _aperture_grid(config, dx_gap)
-    base = np.ones_like(x)
-    amp = _masked_amplitudes(config, x, base, keep_strips=keep_strips)
-    return FieldProfile(x, amp, config.wavelength)
+def _single_beam_amplitude(
+    config: ExperimentConfig, q: np.ndarray, keep_strips: bool
+) -> np.ndarray:
+    """Closed-form far field of a unit uniform beam, q measured from the beam axis.
+
+    The strips alone give b sinc(q b / 2) sum_j exp(-i q x_j), which is real
+    because the wire centres x_j are symmetric; the masked beam is the full
+    square aperture W sinc(q W / 2) minus that term.  ``np.sinc`` is the
+    normalised sinc, hence the factors of 2 pi.
+    """
+    b = config.wire_thickness
+    array = np.cos(np.outer(q, wire_centers(config))).sum(axis=1)
+    strips = b * np.sinc(q * b / (2.0 * math.pi)) * array
+    if keep_strips:
+        return strips
+    w = config.beam_side
+    return w * np.sinc(q * w / (2.0 * math.pi)) - strips
 
 
-def _tilted_pattern(
-    config: ExperimentConfig, profile: FieldProfile, s_span: float
-) -> DiffractionPattern:
-    theta, s0 = _single_beam_theta_grid(config, s_span)
-    _check_sampling(profile, float(np.max(np.abs(np.sin(theta) - s0))))
-    kappa = 2.0 * math.pi / config.wavelength
-    q = kappa * (np.sin(theta) - s0)
-    amp = _transform(profile.x_samples, profile.amplitude_samples, q)
-    return DiffractionPattern(theta, np.abs(amp) ** 2)
+def _single_beam_pattern(config: ExperimentConfig, keep_strips: bool) -> DiffractionPattern:
+    """Single-beam intensity over +-5*lambda/b (capped at 0.2) around the beam axis."""
+    validate_config(config)
+    span = min(5.0 * config.wavelength / config.wire_thickness, 0.2)
+    theta, s0 = _single_beam_theta_grid(config, span)
+    q = (2.0 * math.pi / config.wavelength) * (np.sin(theta) - s0)
+    return DiffractionPattern(theta, _single_beam_amplitude(config, q, keep_strips) ** 2)
 
 
-def single_beam_masked_far_field(
-    config: ExperimentConfig, sin_theta_span: float | None = None
-) -> DiffractionPattern:
+def single_beam_masked_far_field(config: ExperimentConfig) -> DiffractionPattern:
     """Far field of one uniform beam with the wire strips blacked out.
 
     The beam propagates at +crossing_angle/2, so its diffraction-limited
     lobe lands on the detector at that angle; the grid covers at least
-    +-5*lambda/b (capped at 0.2) around the beam axis unless a narrower
-    ``sin_theta_span`` is requested.
+    +-5*lambda/b (capped at 0.2) around the beam axis.
     """
-    validate_config(config)
-    span = sin_theta_span if sin_theta_span is not None else _default_single_beam_span(config)
-    return _tilted_pattern(
-        config, _single_beam_profile(config, keep_strips=False, s_span=span), span
-    )
+    return _single_beam_pattern(config, keep_strips=False)
 
 
-def single_beam_strip_far_field(
-    config: ExperimentConfig, sin_theta_span: float | None = None
-) -> DiffractionPattern:
+def single_beam_strip_far_field(config: ExperimentConfig) -> DiffractionPattern:
     """Far field of the diffracted component alone (uniform field on strips).
 
     This is the Babinet complement of the masked beam; band fractions of
     this pattern give the share of grid-scattered light reaching each
     detector without the unscattered beam flooding the window.
     """
-    validate_config(config)
-    span = sin_theta_span if sin_theta_span is not None else _default_single_beam_span(config)
-    return _tilted_pattern(
-        config, _single_beam_profile(config, keep_strips=True, s_span=span), span
-    )
+    return _single_beam_pattern(config, keep_strips=True)
 
 
 def detector_windows(config: ExperimentConfig) -> tuple[tuple[float, float], tuple[float, float]]:

@@ -24,26 +24,36 @@ from .complementarity import (
 from .config import ExperimentConfig, validate_config
 from .errors import DomainError
 
-_PHILOX_M = np.uint64(0xD2511F53)
+_PHILOX_M = np.uint64(0xD256D193)
 _PHILOX_W = np.uint64(0x9E3779B9)
 _MASK32 = np.uint64(0xFFFFFFFF)
+
+
+def _philox2x32_10(lo: np.ndarray, hi: np.ndarray, key: int) -> tuple[np.ndarray, np.ndarray]:
+    """Philox2x32-10 (Salmon et al., SC'11) on counters (lo, hi) held in uint64.
+
+    Returns the two output words in Random123 order, each below 2**32.
+    """
+    k = np.uint64(key)
+    for _ in range(10):
+        prod = _PHILOX_M * lo  # operands < 2^32, exact in uint64
+        lo, hi = ((prod >> np.uint64(32)) ^ k ^ hi) & _MASK32, prod & _MASK32
+        k = (k + _PHILOX_W) & _MASK32
+    return lo, hi
 
 
 def photon_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     """Uniform doubles in [0, 1) for photon indices [start, start + count).
 
     u_i depends only on (seed, i): the 64-bit photon index is the Philox
-    counter, the seed (masked to 32 bits) is the key, and the two output
-    words form the 53-bit mantissa.
+    counter, the seed is the key, and the two output words form the 53-bit
+    mantissa.  Seeds must lie in [0, 2**32) so distinct seeds never alias.
     """
+    seed = int(seed)
+    if not 0 <= seed < 2**32:
+        raise DomainError(f"seed must lie in [0, 2**32), got {seed}")
     idx = np.arange(start, start + count, dtype=np.uint64)
-    lo = idx & _MASK32
-    hi = (idx >> np.uint64(32)) & _MASK32
-    key = np.uint64(int(seed) & 0xFFFFFFFF)
-    for _ in range(10):
-        prod = _PHILOX_M * lo  # operands < 2^32, exact in uint64
-        lo, hi = ((prod >> np.uint64(32)) ^ key ^ hi) & _MASK32, prod & _MASK32
-        key = (key + _PHILOX_W) & _MASK32
+    lo, hi = _philox2x32_10(idx & _MASK32, idx >> np.uint64(32), seed)
     word = (lo << np.uint64(32)) | hi
     return (word >> np.uint64(11)).astype(np.float64) * 2.0**-53
 

@@ -268,6 +268,13 @@ def test_domain_error_is_exit_2(tmp_path, capsys):
     assert err["error"]["exit_code"] == 2
 
 
+def test_negative_seed_is_exit_2(tmp_path, capsys):
+    rc = main(["simulate", "--seed", "-1", "--out", str(tmp_path / "s.json")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "DomainError"
+
+
 def test_io_error_is_exit_3(capsys):
     rc = main(["metrics", "--out", "/nonexistent-dir/foo.json"])
     assert rc == 3

@@ -39,6 +39,7 @@ def test_odd_wire_count_rejected():
         ("wire_count", 0, ">= 2"),
         ("photon_count", 0, "positive integer"),
         ("crossing_angle", 0.2, "small-angle"),
+        ("detector_half_width", 0.001, "overlap"),
     ],
 )
 def test_each_invariant_has_its_own_error(field, value, match):
@@ -79,7 +80,8 @@ def test_derive_geometry_is_pure(reference_config):
 @given(alpha=st.floats(min_value=1e-5, max_value=0.09))
 @settings(max_examples=50, deadline=None)
 def test_fringe_spacing_identity(alpha):
-    cfg = ExperimentConfig(crossing_angle=alpha)
+    # detector windows scale with the crossing angle so they never overlap
+    cfg = ExperimentConfig(crossing_angle=alpha, detector_half_width=alpha / 4)
     geo = derive_geometry(cfg)
     # fringe_spacing * sin(alpha/2) = lambda / 2 exactly
     assert geo.fringe_spacing * math.sin(alpha / 2) == pytest.approx(

@@ -17,10 +17,17 @@ from wiregrid import (
     first_peak_bounds,
     fringe_field_profile,
     single_beam_masked_far_field,
+    single_beam_strip_far_field,
     two_beam_grid_intensity,
     two_beam_pattern,
     wire_centers,
     wire_strip_complement_profile,
+)
+from wiregrid.diffraction import (
+    _aperture_grid,
+    _masked_amplitudes,
+    _single_beam_amplitude,
+    _single_beam_theta_grid,
 )
 
 LAM = 638e-9
@@ -373,15 +380,38 @@ def test_single_beam_range_covers_spec(reference_config):
     assert pat.theta_samples[-1] >= math.asin(math.sin(0.001) + span) - 1e-9
 
 
+@pytest.mark.parametrize("b_um", [32, 64])
+def test_single_beam_closed_form_matches_quadrature(reference_config, b_um):
+    # both closed-form single-beam amplitudes against the trapezoid oracle
+    # over a uniform field on (or off) the strips, on every 32nd angle of the
+    # single-beam grid; 256 samples per strip hold the oracle's (q h)^2 / 12
+    # error below 1e-4 of the peak out to the edge of the span; angles are
+    # measured from the beam axis so the untilted oracle applies
+    cfg = reference_config.replace(wire_thickness=b_um * 1e-6)
+    theta, s0 = _single_beam_theta_grid(cfg, min(5 * LAM / cfg.wire_thickness, 0.2))
+    rel = np.arcsin(np.sin(theta[::32]) - s0)
+    x = _aperture_grid(cfg, cfg.wire_thickness / 256)
+    for keep_strips, public in (
+        (True, single_beam_strip_far_field),
+        (False, single_beam_masked_far_field),
+    ):
+        aperture = FieldProfile(x, _masked_amplitudes(cfg, x, np.ones_like(x), keep_strips), LAM)
+        numeric = far_field_amplitude(aperture, rel)
+        closed = _single_beam_amplitude(cfg, 2 * math.pi / LAM * np.sin(rel), keep_strips)
+        assert np.max(np.abs(numeric - closed)) <= 1e-4 * np.max(np.abs(closed))
+        # the public pattern is this amplitude squared on the full grid
+        intensity = public(cfg).intensity_samples[::32]
+        assert np.max(np.abs(intensity - np.abs(numeric) ** 2)) <= 2e-4 * np.max(intensity)
+
+
 @pytest.mark.filterwarnings("ignore:outermost decile")
 def test_nearly_bare_beam_keeps_detector_power(reference_config):
     # thin-wire limit: the grid removes almost nothing, so the decrease at
-    # the own detector tends to zero; a narrowed span keeps this quick and
-    # only biases the tiny band fractions at second order
+    # the own detector tends to zero
     from wiregrid import single_beam_budget, single_beam_strip_far_field
 
     cfg = reference_config.replace(wire_thickness=2e-6)
-    strip = single_beam_strip_far_field(cfg, sin_theta_span=0.05)
+    strip = single_beam_strip_far_field(cfg)
     thin = single_beam_budget(cfg, strip_pattern=strip)
     assert thin.own_detector_decrease < 0.012
     assert thin.wrong_detector < 1e-4

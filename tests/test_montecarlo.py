@@ -12,6 +12,7 @@ from wiregrid import (
     visibility_lower_bound,
 )
 from wiregrid.budget import PhotonBudget
+from wiregrid.montecarlo import _philox2x32_10
 
 
 def make_budget(x=0.0012401415665121626, f_det=0.0016144048753482427):
@@ -49,6 +50,44 @@ def test_uniforms_in_unit_interval_and_unbiased():
     assert u.min() >= 0.0 and u.max() < 1.0
     assert abs(u.mean() - 0.5) < 0.005
     assert abs(u.var() - 1 / 12) < 0.001
+
+
+@pytest.mark.parametrize(
+    "counter,key,expected",
+    [
+        ((0x00000000, 0x00000000), 0x00000000, (0xFF1DAE59, 0x6CD10DF2)),
+        ((0xFFFFFFFF, 0xFFFFFFFF), 0xFFFFFFFF, (0x2C3F628B, 0xAB4FD7AD)),
+        ((0x243F6A88, 0x85A308D3), 0x13198A2E, (0xDD7CE038, 0xF62A4C12)),
+    ],
+)
+def test_philox_matches_random123_known_answers(counter, key, expected):
+    lo, hi = _philox2x32_10(
+        np.array([counter[0]], dtype=np.uint64), np.array([counter[1]], dtype=np.uint64), key
+    )
+    assert (int(lo[0]), int(hi[0])) == expected
+
+
+def test_uniforms_carry_the_philox_words():
+    # the photon index splits into the counter (low word, high word) and the
+    # first output word fills the top of the mantissa
+    word = (0xDD7CE038 << 32) | 0xF62A4C12
+    u = photon_uniforms(0x13198A2E, 0x85A308D3_243F6A88, 1)[0]
+    assert u == (word >> 11) * 2.0**-53
+
+
+@pytest.mark.parametrize("seed", [-1, 2**32])
+def test_seed_outside_32_bits_rejected(seed):
+    with pytest.raises(DomainError, match="seed"):
+        photon_uniforms(seed, 0, 10)
+    with pytest.raises(DomainError, match="seed"):
+        sample_fates(make_budget(), 10, seed)
+
+
+def test_seed_range_edges_accepted():
+    low = photon_uniforms(0, 0, 1000)
+    high = photon_uniforms(2**32 - 1, 0, 1000)
+    assert low.min() >= 0.0 and high.max() < 1.0
+    assert not np.array_equal(low, high)
 
 
 # ---------------------------------------------------------------------------
