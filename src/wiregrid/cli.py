@@ -406,7 +406,8 @@ def _cmd_validate(request: RunRequest, config: ExperimentConfig, out) -> int:
 
     theta = np.linspace(-0.0025, 0.0025, 1501)
     complement = wire_strip_complement_profile(config, max_sin_theta=0.0025)
-    numeric = np.abs(far_field_amplitude(complement, theta)) ** 2
+    a_complement = far_field_amplitude(complement, theta)
+    numeric = np.abs(a_complement) ** 2
     closed = two_beam_grid_intensity(theta, config)
     scale = float(np.dot(numeric, closed) / np.dot(closed, closed))
     nrms = float(
@@ -420,7 +421,7 @@ def _cmd_validate(request: RunRequest, config: ExperimentConfig, out) -> int:
     full = fringe_field_profile(config, grid_present=False, max_sin_theta=0.0025)
     masked = fringe_field_profile(config, grid_present=True, max_sin_theta=0.0025)
     a_full = far_field_amplitude(full, theta)
-    a_sum = far_field_amplitude(masked, theta) + far_field_amplitude(complement, theta)
+    a_sum = far_field_amplitude(masked, theta) + a_complement
     peak = float(np.max(np.abs(a_full)))
     linearity = float(np.max(np.abs(a_full - a_sum))) / peak
     checks.append(

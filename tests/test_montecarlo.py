@@ -12,7 +12,7 @@ from wiregrid import (
     visibility_lower_bound,
 )
 from wiregrid.budget import PhotonBudget
-from wiregrid.montecarlo import _philox2x32_10
+from wiregrid.montecarlo import _philox2x32_10, _photon_words, _word_threshold
 
 
 def make_budget(x=0.0012401415665121626, f_det=0.0016144048753482427):
@@ -67,6 +67,15 @@ def test_philox_matches_random123_known_answers(counter, key, expected):
     assert (int(lo[0]), int(hi[0])) == expected
 
 
+def test_philox_leaves_its_inputs_unchanged():
+    lo = np.arange(1000, dtype=np.uint64)
+    hi = lo[::-1].copy()
+    lo_before, hi_before = lo.copy(), hi.copy()
+    _philox2x32_10(lo, hi, 0x13198A2E)
+    assert np.array_equal(lo, lo_before)
+    assert np.array_equal(hi, hi_before)
+
+
 def test_uniforms_carry_the_philox_words():
     # the photon index splits into the counter (low word, high word) and the
     # first output word fills the top of the mantissa
@@ -81,6 +90,22 @@ def test_seed_outside_32_bits_rejected(seed):
         photon_uniforms(seed, 0, 10)
     with pytest.raises(DomainError, match="seed"):
         sample_fates(make_budget(), 10, seed)
+
+
+@pytest.mark.parametrize(
+    "start,count",
+    [(-1, 10), (2**64 - 2, 4), (0, -1)],
+    ids=["negative-start", "counter-wraps", "negative-count"],
+)
+def test_photon_range_outside_counter_rejected(start, count):
+    with pytest.raises(DomainError, match="photon range"):
+        photon_uniforms(1, start, count)
+
+
+def test_photon_range_may_end_at_last_counter():
+    u = photon_uniforms(1, 2**64 - 2, 2)
+    assert u.shape == (2,)
+    assert u[1] == photon_uniforms(1, 2**64 - 1, 1)[0]
 
 
 def test_seed_range_edges_accepted():
@@ -163,6 +188,89 @@ def test_expected_counts_match_stated_tallies(reference_budget):
     assert round(counts["diffracted_to_detectors"]) == 2
 
 
+def reference_fates(budget, n, seed):
+    """Float tally: each photon's uniform placed among the cumulative probabilities."""
+    edges = np.cumsum(budget.fate_probabilities())
+    edges[-1] = 1.0
+    fate = np.searchsorted(edges, photon_uniforms(seed, 0, n), side="right")
+    undisturbed, absorbed, away, to_det = (int(c) for c in np.bincount(fate, minlength=4))
+    return FateCounts(
+        detected_own=undisturbed + to_det,
+        absorbed=absorbed,
+        diffracted_away=away,
+        diffracted_to_detectors=to_det,
+        seed=seed,
+        total=n,
+    )
+
+
+def _edge_on_a_word_budget():
+    """Budget whose first edge is the uniform of a seed-7 photon below 100_001
+    whose Philox word has its low 11 bits clear, so the word itself equals the
+    integer threshold of that edge."""
+    word = _photon_words(7, 0, 100_001)
+    i = int(np.flatnonzero(word & np.uint64(0x7FF) == 0)[0])
+    u = float(photon_uniforms(7, i, 1)[0])
+    return PhotonBudget(
+        absorbed=1.0 - u,
+        covered=0.5,
+        diffracted_total=1.0 - u,
+        diffracted_to_detectors=0.0,
+        diffracted_away=0.0,
+        detected=u,
+        undisturbed_detected=u,
+    )
+
+
+TALLY_BUDGETS = {
+    "reference": make_budget,
+    # nothing is diffracted away, so two inner edges are equal
+    "zero-probability-fate": lambda: PhotonBudget(
+        absorbed=0.25,
+        covered=0.5,
+        diffracted_total=0.25,
+        diffracted_to_detectors=0.25,
+        diffracted_away=0.0,
+        detected=0.75,
+        undisturbed_detected=0.5,
+    ),
+    # every edge is 1.0
+    "all-detected": lambda: PhotonBudget(
+        absorbed=0.0,
+        covered=0.07529411764705882,
+        diffracted_total=0.0,
+        diffracted_to_detectors=0.0,
+        diffracted_away=0.0,
+        detected=1.0,
+        undisturbed_detected=1.0,
+    ),
+    "edge-on-a-word": _edge_on_a_word_budget,
+}
+
+
+@pytest.mark.parametrize("budget_name", sorted(TALLY_BUDGETS))
+@pytest.mark.parametrize("n", [1, 100_001])
+@pytest.mark.parametrize("seed", [0, 7, 3_764_114_740, 2**32 - 1])
+def test_tally_equals_float_reference(budget_name, n, seed):
+    budget = TALLY_BUDGETS[budget_name]()
+    assert sample_fates(budget, n, seed) == reference_fates(budget, n, seed)
+
+
+@pytest.mark.parametrize(
+    "edge", [0.0, 2.0**-53, 0.0012401415665121626, 0.3, 0.5, 1.0 - 2.0**-53]
+)
+def test_word_threshold_splits_words_exactly(edge):
+    t = _word_threshold(edge)
+    uniform = lambda word: (word >> 11) * 2.0**-53
+    assert t == 0 or uniform(t - 1) < edge
+    assert uniform(t) >= edge
+
+
+def test_word_threshold_at_one_counts_every_word():
+    assert _word_threshold(1.0) is None
+    assert _word_threshold(1.0 + 1e-13) is None
+
+
 def test_bad_probabilities_rejected():
     budget = make_budget()
     object.__setattr__(budget, "absorbed", 0.2)  # break the normalization
@@ -176,6 +284,12 @@ def test_bad_probabilities_rejected():
 def test_nonpositive_n_rejected():
     with pytest.raises(ValueError, match="positive"):
         sample_fates(make_budget(), 0, 0)
+
+
+@pytest.mark.parametrize("chunk_size", [0, -1])
+def test_nonpositive_chunk_size_rejected(chunk_size):
+    with pytest.raises(ValueError, match="chunk_size"):
+        sample_fates(make_budget(), 100, 0, chunk_size=chunk_size)
 
 
 # ---------------------------------------------------------------------------
