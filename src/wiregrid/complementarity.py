@@ -119,13 +119,12 @@ def classical_whichway(absorbed: float) -> float:
     return 1.0 - 2.0 * x
 
 
-def quantum_whichway(grid_present: bool) -> float:
+def quantum_whichway() -> float:
     """Which-way information of the symmetric setup: zero.
 
     With or without the grid both arms are identical (the grid straddles
     the crossing symmetrically), so the two paths stay indistinguishable.
     """
-    del grid_present
     return 0.0
 
 
@@ -159,7 +158,7 @@ def grid_metrics(config: ExperimentConfig) -> ComplementarityReport:
     x = absorbed_fraction_two_beams(config)
     y = coverage_fraction(config)
     return complementarity_report(
-        quantum_k=quantum_whichway(True),
+        quantum_k=quantum_whichway(),
         classical_k=classical_whichway(x),
         visibility=visibility_lower_bound(x, y),
     )

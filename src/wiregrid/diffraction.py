@@ -129,6 +129,13 @@ def _envelope_over_q2(q: np.ndarray, b: float) -> np.ndarray:
     return out
 
 
+def _grid_intensity(q: np.ndarray, config: ExperimentConfig) -> np.ndarray:
+    """Two-beam grid intensity at non-negative q = kappa sin(theta)."""
+    v = q * (config.wire_pitch / 2.0)
+    amp = _envelope_over_q2(q, config.wire_thickness) * _array_factor(v, config.wire_count)
+    return amp * amp
+
+
 def two_beam_grid_intensity(theta, config: ExperimentConfig):
     """Relative far-field intensity of the wire grid lit by both beams.
 
@@ -142,10 +149,7 @@ def two_beam_grid_intensity(theta, config: ExperimentConfig):
     if np.any(np.abs(theta_arr) >= np.pi / 2):
         raise ValueError("theta must satisfy |theta| < pi/2")
     kappa = 2.0 * math.pi / config.wavelength
-    q = kappa * np.abs(np.sin(theta_arr))
-    v = q * (config.wire_pitch / 2.0)
-    amp = _envelope_over_q2(q, config.wire_thickness) * _array_factor(v, config.wire_count)
-    intensity = amp * amp
+    intensity = _grid_intensity(kappa * np.abs(np.sin(theta_arr)), config)
     if np.isscalar(theta) or theta_arr.ndim == 0:
         return float(intensity)
     return intensity

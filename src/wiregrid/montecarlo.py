@@ -235,7 +235,7 @@ def estimate_metrics(counts: FateCounts, config: ExperimentConfig) -> EmpiricalM
     se_x = math.sqrt(x_hat * (1.0 - x_hat) / counts.total)
     v = visibility_lower_bound(x_hat, y)
     k = classical_whichway(x_hat)
-    report = complementarity_report(quantum_whichway(True), k, v)
+    report = complementarity_report(quantum_whichway(), k, v)
     return EmpiricalMetrics(
         absorbed_fraction=x_hat,
         absorbed_stderr=se_x,

@@ -68,7 +68,7 @@ def evaluate_scenario(scenario: Scenario, config: ExperimentConfig) -> ScenarioR
     merged paths leave no way to extrapolate, K' = 0.
     """
     validate_config(config)
-    k_quantum = quantum_whichway(scenario.grid)
+    k_quantum = quantum_whichway()
     if scenario.grid:
         x = absorbed_fraction_two_beams(config)
         y = coverage_fraction(config)

@@ -3,7 +3,6 @@ import pytest
 from wiregrid import (
     ExperimentConfig,
     single_beam_budget,
-    single_beam_strip_far_field,
     two_beam_budget,
     two_beam_pattern,
     validate_config,
@@ -22,15 +21,10 @@ def reference_pattern(reference_config):
 
 
 @pytest.fixture(scope="session")
-def reference_budget(reference_config, reference_pattern):
-    return two_beam_budget(reference_config, pattern=reference_pattern)
+def reference_budget(reference_config):
+    return two_beam_budget(reference_config)
 
 
 @pytest.fixture(scope="session")
-def reference_strip_pattern(reference_config):
-    return single_beam_strip_far_field(reference_config)
-
-
-@pytest.fixture(scope="session")
-def reference_single_budget(reference_config, reference_strip_pattern):
-    return single_beam_budget(reference_config, strip_pattern=reference_strip_pattern)
+def reference_single_budget(reference_config):
+    return single_beam_budget(reference_config)

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,13 +13,24 @@ from wiregrid import (
     absorbed_fraction_two_beams,
     coverage_fraction,
     detector_capture_fraction,
+    detector_windows,
+    single_beam_budget,
     two_beam_budget,
 )
-from wiregrid.budget import PhotonBudget, absorbed_fraction_formula
+from wiregrid.budget import (
+    PhotonBudget,
+    _strip_total,
+    _two_beam_total,
+    _window_integral,
+    absorbed_fraction_formula,
+)
+from wiregrid.diffraction import _grid_intensity, _single_beam_amplitude
 
 D = 319e-6
 M = 6
 W = 2.55e-3
+LAM = 638e-9
+KAPPA = 2 * math.pi / LAM
 
 
 # ---------------------------------------------------------------------------
@@ -98,14 +112,14 @@ def test_interference_suppression(b):
 # detector capture and the two-beam budget
 # ---------------------------------------------------------------------------
 
-def test_detector_capture_reference_magnitude(reference_config, reference_pattern):
-    f_det = detector_capture_fraction(reference_config, reference_pattern)
+def test_detector_capture_reference_magnitude(reference_config):
+    f_det = detector_capture_fraction(reference_config)
     assert f_det == pytest.approx(0.0015, rel=0.25)
 
 
-def test_detector_capture_vanishes_with_window(reference_config, reference_pattern):
+def test_detector_capture_vanishes_with_window(reference_config):
     narrow = reference_config.replace(detector_half_width=1e-7)
-    f_narrow = detector_capture_fraction(narrow, reference_pattern)
+    f_narrow = detector_capture_fraction(narrow)
     assert f_narrow < 1e-5
 
 
@@ -150,13 +164,23 @@ def test_budget_orderings(reference_budget):
     assert reference_budget.absorbed < reference_budget.covered
 
 
-@pytest.mark.filterwarnings("ignore:outermost decile")
 def test_thin_wire_budget_degenerates(reference_config):
     cfg = reference_config.replace(wire_thickness=5e-8)
     budget = two_beam_budget(cfg)
     assert budget.absorbed < 1e-8
     assert budget.detected > 1 - 1e-7
     assert budget.diffracted_to_detectors < budget.absorbed
+
+
+@pytest.mark.parametrize("b", [2e-6, 5e-8])
+def test_budgets_do_not_warn_on_thin_wires(reference_config, b):
+    # the window fractions are normalised by the exact total, so no sampled
+    # range can truncate the slowly decaying tail of a thin wire's pattern
+    cfg = reference_config.replace(wire_thickness=b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        two_beam_budget(cfg)
+        single_beam_budget(cfg)
 
 
 def test_budget_validation_rejects_bad_fractions():
@@ -194,3 +218,72 @@ def test_single_beam_reports_window(reference_config, reference_single_budget):
 
 def test_single_beam_decrease_includes_blocking(reference_single_budget):
     assert reference_single_budget.own_detector_decrease >= reference_single_budget.blocked
+
+
+def test_single_beam_budget_at_quarter_milliradian_window(reference_config):
+    # a 0.25 mrad half-width reproduces the paper's 14.38 % and 0.66 %
+    s = single_beam_budget(reference_config.replace(detector_half_width=0.25e-3))
+    assert s.own_detector_decrease == pytest.approx(0.1438, rel=0.005)
+    assert s.wrong_detector == pytest.approx(0.0066, rel=0.02)
+
+
+def test_single_beam_fractions_vanish_with_window(reference_config):
+    # the strip intensity never exceeds (M b)^2, so a window of half-width w
+    # takes at most (M b)^2 * 2 kappa w / (2 pi M b) = 2 M b w / lambda of the
+    # total, 6e-5 here
+    cfg = reference_config.replace(detector_half_width=1e-7)
+    s = single_beam_budget(cfg)
+    bound = 2 * M * cfg.wire_thickness * cfg.detector_half_width / LAM
+    assert s.wrong_detector <= s.blocked * bound
+    assert 2 * s.blocked - s.own_detector_decrease <= s.blocked * bound
+
+
+# ---------------------------------------------------------------------------
+# Parseval totals and window quadrature against dense trapezoids
+# ---------------------------------------------------------------------------
+
+def _two_beam_intensity_q(cfg):
+    return lambda q: _grid_intensity(np.abs(q), cfg)
+
+
+def _strip_intensity_q(cfg):
+    return lambda q: _single_beam_amplitude(cfg, q, keep_strips=True) ** 2
+
+
+@pytest.mark.parametrize("b_um", [8, 16, 32, 64])
+def test_parseval_totals_match_dense_trapezoid(reference_config, b_um):
+    # the closed-form totals run over all q; beyond |q| = kappa the intensities
+    # average M b^2 / (8 q^2) (two-beam) and M / q^2 (strip), so the
+    # propagating range misses 3 lambda / (pi^2 b) and lambda / (pi^2 b) of them
+    cfg = reference_config.replace(wire_thickness=b_um * 1e-6)
+    b = cfg.wire_thickness
+    q = np.linspace(-0.999 * KAPPA, 0.999 * KAPPA, 2**19 + 1)
+    two = np.trapezoid(_two_beam_intensity_q(cfg)(q), q) / _two_beam_total(cfg)
+    strip = np.trapezoid(_strip_intensity_q(cfg)(q), q) / _strip_total(cfg)
+    assert two == pytest.approx(1 - 3 * LAM / (math.pi**2 * b), abs=2e-4)
+    assert strip == pytest.approx(1 - LAM / (math.pi**2 * b), abs=2e-4)
+
+
+@pytest.mark.parametrize("b_um", [8, 32, 150])
+def test_window_integrals_match_dense_trapezoid(reference_config, b_um):
+    # each window integral, and the public fractions built from them,
+    # against a dense trapezoid in q
+    cfg = reference_config.replace(wire_thickness=b_um * 1e-6)
+    s0 = math.sin(cfg.crossing_angle / 2)
+    dense = {}
+    for side, (lo, hi) in zip(("neg", "pos"), detector_windows(cfg)):
+        for name, intensity, shift in (
+            ("two", _two_beam_intensity_q(cfg), 0.0),
+            ("strip", _strip_intensity_q(cfg), s0),
+        ):
+            q_lo, q_hi = KAPPA * (math.sin(lo) - shift), KAPPA * (math.sin(hi) - shift)
+            q = np.linspace(q_lo, q_hi, 200_001)
+            dense[name, side] = np.trapezoid(intensity(q), q)
+            quad = _window_integral(intensity, q_lo, q_hi, cfg)
+            assert quad == pytest.approx(dense[name, side], rel=1e-6)
+    f_det = (dense["two", "neg"] + dense["two", "pos"]) / _two_beam_total(cfg)
+    assert detector_capture_fraction(cfg) == pytest.approx(f_det, rel=1e-6)
+    single = single_beam_budget(cfg)
+    f_own, f_wrong = (dense["strip", side] / _strip_total(cfg) for side in ("pos", "neg"))
+    assert single.own_detector_decrease == pytest.approx(single.blocked * (2 - f_own), rel=1e-6)
+    assert single.wrong_detector == pytest.approx(single.blocked * f_wrong, rel=1e-6)

@@ -128,8 +128,7 @@ def test_classical_whichway_domain():
 
 
 def test_quantum_whichway_constant_zero():
-    assert quantum_whichway(True) == 0.0
-    assert quantum_whichway(False) == 0.0
+    assert quantum_whichway() == 0.0
 
 
 # ---------------------------------------------------------------------------

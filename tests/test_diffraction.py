@@ -404,14 +404,12 @@ def test_single_beam_closed_form_matches_quadrature(reference_config, b_um):
         assert np.max(np.abs(intensity - np.abs(numeric) ** 2)) <= 2e-4 * np.max(intensity)
 
 
-@pytest.mark.filterwarnings("ignore:outermost decile")
 def test_nearly_bare_beam_keeps_detector_power(reference_config):
     # thin-wire limit: the grid removes almost nothing, so the decrease at
     # the own detector tends to zero
-    from wiregrid import single_beam_budget, single_beam_strip_far_field
+    from wiregrid import single_beam_budget
 
     cfg = reference_config.replace(wire_thickness=2e-6)
-    strip = single_beam_strip_far_field(cfg)
-    thin = single_beam_budget(cfg, strip_pattern=strip)
+    thin = single_beam_budget(cfg)
     assert thin.own_detector_decrease < 0.012
     assert thin.wrong_detector < 1e-4
