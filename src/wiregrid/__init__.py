@@ -14,6 +14,7 @@ from .budget import (
     absorbed_fraction_quadrature,
     absorbed_fraction_small_b,
     absorbed_fraction_two_beams,
+    band_fraction,
     coverage_fraction,
     detector_capture_fraction,
     single_beam_budget,
@@ -25,6 +26,7 @@ from .complementarity import (
     VisibilityInputs,
     classical_whichway,
     complementarity_report,
+    fraction_report,
     grid_metrics,
     quantum_whichway,
     sweep_thickness,

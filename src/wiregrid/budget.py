@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,27 +49,18 @@ class PhotonBudget:
 
     absorbed: float
     covered: float
-    diffracted_total: float
     diffracted_to_detectors: float
     diffracted_away: float
     detected: float
     undisturbed_detected: float
 
     def __post_init__(self):
-        for name in (
-            "absorbed",
-            "covered",
-            "diffracted_total",
-            "diffracted_to_detectors",
-            "diffracted_away",
-            "detected",
-            "undisturbed_detected",
-        ):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must be a fraction in [0, 1], got {v!r}")
-        if self.diffracted_to_detectors > self.diffracted_total + 1e-15:
-            raise ValueError("diffracted_to_detectors cannot exceed diffracted_total")
+                raise ValueError(f"{f.name} must be a fraction in [0, 1], got {v!r}")
+        if self.diffracted_to_detectors > self.absorbed + 1e-15:
+            raise ValueError("diffracted_to_detectors cannot exceed absorbed, the diffracted total")
         if self.undisturbed_detected > self.detected + 1e-15:
             raise ValueError("undisturbed_detected cannot exceed detected")
         residual = self.absorbed + self.diffracted_away + self.detected - 1.0
@@ -117,21 +108,28 @@ class SingleBeamBudget:
             raise ValueError("own_detector_decrease must include at least the blocked share")
 
 
+def _coverage_formula(b, wire_count: int, beam_side: float):
+    """M*b/W, elementwise in b."""
+    return wire_count * b / beam_side
+
+
 def coverage_fraction(config: ExperimentConfig) -> float:
     """Fraction of the beam cross section covered by the wires, M*b/W."""
     validate_config(config)
-    return config.wire_count * config.wire_thickness / config.beam_side
+    return _coverage_formula(config.wire_thickness, config.wire_count, config.beam_side)
 
 
-def absorbed_fraction_formula(b: float, d: float, wire_count: int, beam_side: float) -> float:
+def absorbed_fraction_formula(b, d: float, wire_count: int, beam_side: float):
     """Closed-form absorbed fraction for wires centred on dark fringes.
 
     Integral of the squared fringe field over the strips, divided by the
     beam-wide integral (average one half):
     M * (b/2 - (d / 2 pi) sin(pi b / d)) / (W / 2).
+    Elementwise in b; a scalar b gives a float.
     """
-    per_wire = b / 2.0 - (d / (2.0 * math.pi)) * math.sin(math.pi * b / d)
-    return wire_count * per_wire / (beam_side / 2.0)
+    per_wire = b / 2.0 - (d / (2.0 * math.pi)) * np.sin(math.pi * b / d)
+    x = wire_count * per_wire / (beam_side / 2.0)
+    return float(x) if x.ndim == 0 else x
 
 
 def absorbed_fraction_two_beams(config: ExperimentConfig) -> float:
@@ -200,27 +198,35 @@ def _strip_total(config: ExperimentConfig) -> float:
     return 2.0 * math.pi * config.wire_count * config.wire_thickness
 
 
-def detector_capture_fraction(config: ExperimentConfig) -> float:
-    """Fraction of the two-beam diffracted light landing in either detector window."""
+def band_fraction(config: ExperimentConfig, theta_lo: float, theta_hi: float) -> float:
+    """Share of the two-beam diffracted power between theta_lo and theta_hi.
+
+    The window integral of ``two_beam_grid_intensity`` in q = kappa sin(theta)
+    over its Parseval total, so no pattern is sampled.
+    """
     validate_config(config)
     kappa = 2.0 * math.pi / config.wavelength
 
     def intensity(q):
         return _grid_intensity(np.abs(q), config)
 
-    power = sum(
-        _window_integral(intensity, kappa * math.sin(lo), kappa * math.sin(hi), config)
-        for lo, hi in detector_windows(config)
+    power = _window_integral(
+        intensity, kappa * math.sin(theta_lo), kappa * math.sin(theta_hi), config
     )
     return power / _two_beam_total(config)
+
+
+def detector_capture_fraction(config: ExperimentConfig) -> float:
+    """Fraction of the two-beam diffracted light landing in either detector window."""
+    return sum(band_fraction(config, lo, hi) for lo, hi in detector_windows(config))
 
 
 def two_beam_budget(config: ExperimentConfig) -> PhotonBudget:
     """Assemble the per-arm photon budget for the two-beam, grid-present case.
 
-    absorbed = diffracted_total = x (Babinet accounting), the diffracted
-    share reaching any detector is x * capture, and detected photons are
-    everything not absorbed and not diffracted away.
+    The diffracted total equals the absorbed x (Babinet accounting), the
+    diffracted share reaching any detector is x * capture, and detected
+    photons are everything not absorbed and not diffracted away.
     """
     x = absorbed_fraction_two_beams(config)
     f_det = detector_capture_fraction(config)
@@ -229,7 +235,6 @@ def two_beam_budget(config: ExperimentConfig) -> PhotonBudget:
     return PhotonBudget(
         absorbed=x,
         covered=coverage_fraction(config),
-        diffracted_total=x,
         diffracted_to_detectors=x * f_det,
         diffracted_away=diffracted_away,
         detected=detected,

@@ -25,7 +25,7 @@ from .budget import (
     single_beam_budget,
     two_beam_budget,
 )
-from .complementarity import grid_metrics, sweep_thickness, worst_case_intensity_pair
+from .complementarity import fraction_report, sweep_thickness, worst_case_intensity_pair
 from .config import DEFAULTS, ExperimentConfig, derive_geometry, validate_config
 from .diffraction import (
     detector_windows,
@@ -166,30 +166,40 @@ def _config_echo(config: ExperimentConfig) -> dict:
     return echo
 
 
-def emit_rows(header: list[str], rows: list[list], fmt: str, out: io.TextIOBase) -> None:
-    if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-    else:
-        out.write(json.dumps([dict(zip(header, row)) for row in rows], indent=2))
-        out.write("\n")
+def emit_rows(header: list[str], rows: list[list], out: io.TextIOBase) -> None:
+    """CSV: the header, then one line per row."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def emit_report(sections: dict, fmt: str, out: io.TextIOBase) -> None:
+    """JSON of the sections, or CSV with one ``section.key, value`` row per value."""
     if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["quantity", "value"])
+        rows = []
         for section, payload in sections.items():
             if isinstance(payload, dict):
-                for key, value in payload.items():
-                    writer.writerow([f"{section}.{key}", _fmt(value)])
+                rows.extend([f"{section}.{key}", value] for key, value in payload.items())
             else:
-                writer.writerow([section, _fmt(payload)])
+                rows.append([section, payload])
+        emit_rows(["quantity", "value"], rows, out)
     else:
         out.write(json.dumps(sections, indent=2, default=float))
         out.write("\n")
+
+
+def _emit_table(
+    config: ExperimentConfig, key: str, header: list[str], table: list[list], fmt: str, out
+) -> None:
+    """JSON ``{config, <key>: [row objects]}``, or the table as CSV rows."""
+    if fmt == "json":
+        emit_report(
+            {"config": _config_echo(config), key: [dict(zip(header, r)) for r in table]},
+            "json",
+            out,
+        )
+    else:
+        emit_rows(header, table, out)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +230,6 @@ def _cmd_pattern(request: RunRequest, config: ExperimentConfig, out) -> int:
         emit_rows(
             ["theta_rad", "intensity_rel"],
             [[float(t), float(v)] for t, v in zip(theta, intensity)],
-            "csv",
             out,
         )
     return 0
@@ -241,7 +250,7 @@ def _cmd_budget(request: RunRequest, config: ExperimentConfig, out) -> int:
         "two_beam_fractions": {
             "absorbed": two.absorbed,
             "covered": two.covered,
-            "diffracted_total": two.diffracted_total,
+            "diffracted_total": two.absorbed,
             "diffracted_to_detectors": two.diffracted_to_detectors,
             "diffracted_away": two.diffracted_away,
             "detected": two.detected,
@@ -267,7 +276,7 @@ def _cmd_budget(request: RunRequest, config: ExperimentConfig, out) -> int:
 def _cmd_metrics(request: RunRequest, config: ExperimentConfig, out) -> int:
     x = absorbed_fraction_two_beams(config)
     y = coverage_fraction(config)
-    report = grid_metrics(config)
+    report = fraction_report(x, y)
     area_mm2 = (config.beam_side * 1e3) ** 2
     pair = worst_case_intensity_pair(x, y, config.photon_count, area_mm2)
     sections = {
@@ -280,50 +289,33 @@ def _cmd_metrics(request: RunRequest, config: ExperimentConfig, out) -> int:
     return 0
 
 
+# SweepRow fields in table order, after the thickness in um
+_SWEEP_COLUMNS = (
+    "absorbed",
+    "covered",
+    "visibility_lower",
+    "classical_whichway_lower",
+    "visibility_sq",
+    "classical_sq",
+    "quantum_sum",
+    "classical_sum",
+    "in_domain",
+    "note",
+)
+
+
 def _cmd_sweep(request: RunRequest, config: ExperimentConfig, out) -> int:
     b_min = request.options.get("b_min", 1.0) * 1e-6
     b_max = request.options.get("b_max", 150.0) * 1e-6
     steps = request.options.get("steps", 150)
     if steps < 1:
         raise DomainError("steps must be at least 1")
-    rows = sweep_thickness(config, list(np.linspace(b_min, b_max, steps)))
-    header = [
-        "wire_thickness_um",
-        "absorbed",
-        "covered",
-        "visibility_lower",
-        "classical_whichway_lower",
-        "visibility_sq",
-        "classical_sq",
-        "quantum_sum",
-        "classical_sum",
-        "in_domain",
-        "note",
-    ]
+    rows = sweep_thickness(config, np.linspace(b_min, b_max, steps))
+    header = ["wire_thickness_um", *_SWEEP_COLUMNS]
     table = [
-        [
-            row.wire_thickness * 1e6,
-            row.absorbed,
-            row.covered,
-            row.visibility_lower,
-            row.classical_whichway_lower,
-            row.visibility_sq,
-            row.classical_sq,
-            row.quantum_sum,
-            row.classical_sum,
-            row.in_domain,
-            row.note,
-        ]
-        for row in rows
+        [row.wire_thickness * 1e6, *(getattr(row, c) for c in _SWEEP_COLUMNS)] for row in rows
     ]
-    if request.output_format == "json":
-        emit_report(
-            {"config": _config_echo(config), "sweep": [dict(zip(header, r)) for r in table]},
-            "json",
-            out,
-        )
-    else:
-        emit_rows(header, table, "csv", out)
+    _emit_table(config, "sweep", header, table, request.output_format, out)
     return 0
 
 
@@ -370,14 +362,7 @@ def _cmd_scenario(request: RunRequest, config: ExperimentConfig, out) -> int:
                 sr.rationale,
             ]
         )
-    if request.output_format == "json":
-        emit_report(
-            {"config": _config_echo(config), "scenarios": [dict(zip(header, r)) for r in table]},
-            "json",
-            out,
-        )
-    else:
-        emit_rows(header, table, "csv", out)
+    _emit_table(config, "scenarios", header, table, request.output_format, out)
     return 0
 
 
@@ -442,7 +427,7 @@ def _cmd_validate(request: RunRequest, config: ExperimentConfig, out) -> int:
             out,
         )
     else:
-        emit_rows(header, table, "csv", out)
+        emit_rows(header, table, out)
     return 0 if all(ok for _, ok, _ in checks) else 2
 
 

@@ -10,11 +10,18 @@ untouched, bounded below by 1 - 2x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .budget import absorbed_fraction_two_beams, coverage_fraction
+import numpy as np
+
+from .budget import (
+    _coverage_formula,
+    absorbed_fraction_formula,
+    absorbed_fraction_two_beams,
+    coverage_fraction,
+)
 from .config import ExperimentConfig, validate_config
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 
 
 @dataclass(frozen=True)
@@ -43,20 +50,24 @@ class ComplementarityReport:
     classical_sum_below_two: bool
 
     def as_dict(self) -> dict:
-        return {
-            "visibility_lower": self.visibility_lower,
-            "quantum_whichway": self.quantum_whichway,
-            "classical_whichway_lower": self.classical_whichway_lower,
-            "quantum_sum": self.quantum_sum,
-            "classical_sum": self.classical_sum,
-            "quantum_inequality_satisfied": self.quantum_inequality_satisfied,
-            "classical_sum_below_two": self.classical_sum_below_two,
-        }
+        return asdict(self)
 
 
 def visibility_from_intensities(inputs: VisibilityInputs) -> float:
     """(i_max - i_min) / (i_max + i_min)."""
     return (inputs.i_max - inputs.i_min) / (inputs.i_max + inputs.i_min)
+
+
+def _require(ok, values, message: str) -> None:
+    """Raise DomainError naming the first of ``values`` where ``ok`` is false."""
+    if not np.all(ok):
+        bad = np.broadcast_to(values, np.shape(ok))[np.logical_not(ok)][0]
+        raise DomainError(f"{message}, got {float(bad)!r}")
+
+
+def _check_fractions(x, y) -> None:
+    _require((0.0 < y) & (y < 1.0), y, "covered fraction must lie in (0, 1)")
+    _require((0.0 <= x) & (x < 1.0), x, "absorbed fraction must lie in [0, 1)")
 
 
 def worst_case_intensity_pair(
@@ -70,53 +81,54 @@ def worst_case_intensity_pair(
     Units of ``beam_area`` are the caller's choice; they cancel in the
     visibility and set the scale of the reported intensities.
     """
-    if not (0.0 < covered < 1.0):
-        raise DomainError(f"covered fraction must lie in (0, 1), got {covered!r}")
-    if not (0.0 <= absorbed < 1.0):
-        raise DomainError(f"absorbed fraction must lie in [0, 1), got {absorbed!r}")
+    _check_fractions(absorbed, covered)
     return VisibilityInputs(
         i_max=(1.0 - absorbed) * photons / ((1.0 - covered) * beam_area),
         i_min=absorbed * photons / (covered * beam_area),
     )
 
 
-def visibility_lower_bound(absorbed: float, covered: float) -> float:
+def visibility_lower_bound(absorbed, covered):
     """Worst-case visibility from the absorbed (x) and covered (y) fractions.
 
     Equals visibility_from_intensities of the worst-case pair, evaluated as
     [(1-x)/(1-y) - x/y] / [(1-x)/(1-y) + x/y].  Requires the wires at the
     minima to absorb at most their uniform share (x/y <= (1-x)/(1-y)),
-    otherwise the bound would go negative.
+    otherwise the bound would go negative.  Elementwise; scalar fractions
+    give a float.
     """
-    x, y = absorbed, covered
-    if not (0.0 < y < 1.0):
-        raise DomainError(f"covered fraction must lie in (0, 1), got {y!r}")
-    if not (0.0 <= x < 1.0):
-        raise DomainError(f"absorbed fraction must lie in [0, 1), got {x!r}")
+    x = np.asarray(absorbed, dtype=float)
+    y = np.asarray(covered, dtype=float)
+    _check_fractions(x, y)
     i_max = (1.0 - x) / (1.0 - y)
     i_min = x / y
-    if i_min > i_max:
+    over = i_min > i_max
+    if np.any(over):
+        xb, yb = (np.broadcast_to(a, over.shape)[over][0] for a in (x, y))
         raise DomainError(
-            f"absorbed fraction x={x:g} exceeds the uniform share for y={y:g}; "
+            f"absorbed fraction x={xb:g} exceeds the uniform share for y={yb:g}; "
             f"the square-profile visibility bound would be negative"
         )
-    return (i_max - i_min) / (i_max + i_min)
+    v = (i_max - i_min) / (i_max + i_min)
+    return float(v) if v.ndim == 0 else v
 
 
-def classical_whichway(absorbed: float) -> float:
+def classical_whichway(absorbed):
     """Lower bound 1 - 2x on the classical which-way information.
 
     Out of every arm's photons, a fraction x is stopped and (by Babinet
     accounting) another x is diffracted with no path information left; the
     rest reach the detector with momentum intact.  Beyond x = 1/2 the
-    undeflected count is exhausted and the bound is undefined.
+    undeflected count is exhausted and the bound is undefined.  Elementwise;
+    a scalar fraction gives a float.
     """
-    x = absorbed
-    if not (0.0 <= x <= 0.5):
-        raise DomainError(
-            f"classical which-way bound needs absorbed fraction in [0, 1/2], got {x!r}"
-        )
-    return 1.0 - 2.0 * x
+    x = np.asarray(absorbed, dtype=float)
+    _require(
+        (0.0 <= x) & (x <= 0.5), x,
+        "classical which-way bound needs absorbed fraction in [0, 1/2]",
+    )
+    k = 1.0 - 2.0 * x
+    return float(k) if k.ndim == 0 else k
 
 
 def quantum_whichway() -> float:
@@ -152,16 +164,22 @@ def complementarity_report(
     )
 
 
-def grid_metrics(config: ExperimentConfig) -> ComplementarityReport:
-    """Report for the configured wire thickness, K = 0 by symmetry."""
-    validate_config(config)
-    x = absorbed_fraction_two_beams(config)
-    y = coverage_fraction(config)
+def fraction_report(absorbed: float, covered: float) -> ComplementarityReport:
+    """Report from the absorbed (x) and covered (y) fractions of the grid.
+
+    K = 0 by symmetry, K' >= 1 - 2x and V >= the worst-case bound; a DomainError
+    names the broken condition when x exceeds 1/2 or its uniform share.
+    """
     return complementarity_report(
         quantum_k=quantum_whichway(),
-        classical_k=classical_whichway(x),
-        visibility=visibility_lower_bound(x, y),
+        classical_k=classical_whichway(absorbed),
+        visibility=visibility_lower_bound(absorbed, covered),
     )
+
+
+def grid_metrics(config: ExperimentConfig) -> ComplementarityReport:
+    """Report for the configured wire thickness, K = 0 by symmetry."""
+    return fraction_report(absorbed_fraction_two_beams(config), coverage_fraction(config))
 
 
 @dataclass(frozen=True)
@@ -190,38 +208,44 @@ def sweep_thickness(config: ExperimentConfig, b_values) -> list[SweepRow]:
 
     ``b_values`` must be sorted ascending and lie strictly inside
     (0, wire_pitch); rows where the absorbed fraction exceeds 1/2 are
-    marked out-of-domain instead of raising.
+    marked out-of-domain instead of raising.  Every column is computed in
+    one elementwise pass over the whole range.
     """
     validate_config(config)
-    b_values = list(b_values)
-    if any(b2 <= b1 for b1, b2 in zip(b_values, b_values[1:])):
+    b = np.fromiter(b_values, dtype=float)
+    if np.any(b[1:] <= b[:-1]):
         raise ValueError("b_values must be sorted strictly ascending")
-    if not b_values or b_values[0] <= 0 or b_values[-1] >= config.wire_pitch:
+    if not b.size or b[0] <= 0 or b[-1] >= config.wire_pitch:
         raise ValueError(
             f"b_values must lie strictly inside (0, wire_pitch={config.wire_pitch:g})"
         )
-    rows = []
-    for b in b_values:
-        cfg = validate_config(config.replace(wire_thickness=b))
-        x = absorbed_fraction_two_beams(cfg)
-        y = coverage_fraction(cfg)
-        v = visibility_lower_bound(x, y)
-        in_domain = bool(x <= 0.5)  # x may be a numpy scalar; reports want a plain bool
-        k = classical_whichway(x) if in_domain else None
-        note = "" if in_domain else "absorbed fraction exceeds 1/2; classical bound undefined"
-        rows.append(
-            SweepRow(
-                wire_thickness=b,
-                absorbed=x,
-                covered=y,
-                visibility_lower=v,
-                visibility_sq=v * v,
-                quantum_sum=v * v,
-                classical_whichway_lower=k,
-                classical_sq=None if k is None else k * k,
-                classical_sum=None if k is None else k * k + v * v,
-                in_domain=in_domain,
-                note=note,
-            )
+    finite = np.isfinite(b)
+    if not finite.all():
+        raise ConfigError(
+            f"wire_thickness must be a positive finite length, got {float(b[~finite][0])!r}"
         )
-    return rows
+    x = absorbed_fraction_formula(b, config.wire_pitch, config.wire_count, config.beam_side)
+    y = _coverage_formula(b, config.wire_count, config.beam_side)
+    v = visibility_lower_bound(x, y)
+    in_domain = x <= 0.5
+    k = np.full_like(x, np.nan)
+    k[in_domain] = classical_whichway(x[in_domain])
+    v_sq, k_sq = v * v, k * k
+    columns = (b, x, y, v, v_sq, k, k_sq, k_sq + v_sq, in_domain)
+    note = "absorbed fraction exceeds 1/2; classical bound undefined"
+    return [
+        SweepRow(
+            wire_thickness=bi,
+            absorbed=xi,
+            covered=yi,
+            visibility_lower=vi,
+            visibility_sq=vi_sq,
+            quantum_sum=vi_sq,
+            classical_whichway_lower=ki if ok else None,
+            classical_sq=ki_sq if ok else None,
+            classical_sum=sum_i if ok else None,
+            in_domain=ok,
+            note="" if ok else note,
+        )
+        for bi, xi, yi, vi, vi_sq, ki, ki_sq, sum_i, ok in zip(*(c.tolist() for c in columns))
+    ]

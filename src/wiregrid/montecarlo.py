@@ -13,19 +13,13 @@ thresholds, which is exactly equivalent to comparing the 53-bit uniform
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .budget import PhotonBudget
-from .complementarity import (
-    ComplementarityReport,
-    classical_whichway,
-    complementarity_report,
-    quantum_whichway,
-    visibility_lower_bound,
-)
-from .config import ExperimentConfig, validate_config
+from .budget import PhotonBudget, coverage_fraction
+from .complementarity import ComplementarityReport, fraction_report
+from .config import ExperimentConfig
 from .errors import DomainError
 
 _PHILOX_M = np.uint64(0xD256D193)
@@ -196,15 +190,8 @@ class EmpiricalMetrics:
     report: ComplementarityReport
 
     def as_dict(self) -> dict:
-        out = {
-            "absorbed_fraction": self.absorbed_fraction,
-            "absorbed_stderr": self.absorbed_stderr,
-            "visibility_lower": self.visibility_lower,
-            "visibility_stderr": self.visibility_stderr,
-            "classical_whichway_lower": self.classical_whichway_lower,
-            "classical_stderr": self.classical_stderr,
-        }
-        out.update(self.report.as_dict())
+        out = asdict(self)
+        out.update(out.pop("report"))  # the report's keys follow the estimates
         return out
 
 
@@ -221,27 +208,21 @@ def estimate_metrics(counts: FateCounts, config: ExperimentConfig) -> EmpiricalM
     """Recover x, V and K' estimates from tallies.
 
     x_hat = absorbed / total with binomial standard error; the visibility
-    and which-way errors follow by the first-order delta method.
+    and which-way errors follow by the first-order delta method.  An
+    x_hat above 1/2 leaves the classical bound undefined (DomainError).
     """
-    validate_config(config)
+    y = coverage_fraction(config)
     if counts.total <= 0:
         raise ValueError("counts.total must be positive")
     x_hat = counts.absorbed / counts.total
-    if x_hat > 0.5:
-        raise DomainError(
-            f"absorbed fraction estimate {x_hat:g} exceeds 1/2; classical bound undefined"
-        )
-    y = config.wire_count * config.wire_thickness / config.beam_side
+    report = fraction_report(x_hat, y)
     se_x = math.sqrt(x_hat * (1.0 - x_hat) / counts.total)
-    v = visibility_lower_bound(x_hat, y)
-    k = classical_whichway(x_hat)
-    report = complementarity_report(quantum_whichway(), k, v)
     return EmpiricalMetrics(
         absorbed_fraction=x_hat,
         absorbed_stderr=se_x,
-        visibility_lower=v,
+        visibility_lower=report.visibility_lower,
         visibility_stderr=abs(_visibility_slope(x_hat, y)) * se_x,
-        classical_whichway_lower=k,
+        classical_whichway_lower=report.classical_whichway_lower,
         classical_stderr=2.0 * se_x,
         report=report,
     )

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from .budget import absorbed_fraction_two_beams, coverage_fraction
 from .complementarity import (
     ComplementarityReport,
-    classical_whichway,
     complementarity_report,
+    fraction_report,
     quantum_whichway,
-    visibility_lower_bound,
 )
 from .config import ExperimentConfig, validate_config
 
@@ -72,9 +71,7 @@ def evaluate_scenario(scenario: Scenario, config: ExperimentConfig) -> ScenarioR
     if scenario.grid:
         x = absorbed_fraction_two_beams(config)
         y = coverage_fraction(config)
-        report = complementarity_report(
-            k_quantum, classical_whichway(x), visibility_lower_bound(x, y)
-        )
+        report = fraction_report(x, y)
         rationale = (
             f"wire grid at the dark fringes: measured visibility bound "
             f"V >= {report.visibility_lower:.5f} from absorbed fraction x = {x:.6f} "

@@ -13,6 +13,7 @@ from wiregrid import (
     VisibilityInputs,
     absorbed_fraction_quadrature,
     absorbed_fraction_two_beams,
+    band_fraction,
     band_power,
     coverage_fraction,
     estimate_metrics,
@@ -92,11 +93,18 @@ def test_criterion_04_first_peak_geometry(reference_config, reference_pattern):
     )
 
 
-def test_criterion_05_first_peak_area(reference_pattern):
+def test_criterion_05_first_peak_area(reference_config, reference_pattern):
     lo, hi = first_peak_bounds(reference_pattern, "positive")
-    frac = band_power(reference_pattern, lo, hi)
+    frac = band_fraction(reference_config, lo, hi)
+    sampled = band_power(reference_pattern, lo, hi)
     ok = abs(frac - 0.00075) / 0.00075 < 0.20
-    report(5, ok, f"first-peak band power = {frac:.6f} (0.00075 +- 20% rel)")
+    ok_sampled = abs(sampled - frac) / frac < 0.02
+    report(
+        5,
+        ok and ok_sampled,
+        f"first-peak share of the Parseval total = {frac:.7f} (0.00075 +- 20% rel); "
+        f"sampled band power {sampled:.7f} (within 2% rel)",
+    )
 
 
 def test_criterion_06_two_beam_budget(reference_budget):

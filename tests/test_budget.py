@@ -154,12 +154,22 @@ def test_budget_conservation_exact(reference_budget):
     assert abs(total - 1.0) < 1e-15
 
 
-def test_budget_babinet_equality(reference_budget):
-    assert reference_budget.diffracted_total == reference_budget.absorbed
+def test_budget_babinet_equality():
+    # the diffracted total equals the absorbed fraction, so no more than
+    # that can be diffracted into the detectors
+    with pytest.raises(ValueError, match="cannot exceed absorbed"):
+        PhotonBudget(
+            absorbed=0.1,
+            covered=0.2,
+            diffracted_to_detectors=0.2,
+            diffracted_away=0.0,
+            detected=0.9,
+            undisturbed_detected=0.8,
+        )
 
 
 def test_budget_orderings(reference_budget):
-    assert reference_budget.diffracted_to_detectors <= reference_budget.diffracted_total
+    assert reference_budget.diffracted_to_detectors <= reference_budget.absorbed
     assert reference_budget.undisturbed_detected <= reference_budget.detected
     assert reference_budget.absorbed < reference_budget.covered
 
@@ -188,7 +198,6 @@ def test_budget_validation_rejects_bad_fractions():
         PhotonBudget(
             absorbed=0.1,
             covered=0.2,
-            diffracted_total=0.1,
             diffracted_to_detectors=0.0,
             diffracted_away=0.1,
             detected=0.9,

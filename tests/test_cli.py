@@ -196,6 +196,12 @@ def test_sweep_custom_range(tmp_path):
 
 
 def test_simulate_deterministic_bytes(tmp_path):
+    for command in ("pattern", "budget", "metrics", "sweep", "scenario", "validate", "simulate"):
+        for fmt in ("json", "csv"):
+            rc1, first = run_cli(tmp_path, command, "--format", fmt, name=f"{command}-1.{fmt}")
+            rc2, second = run_cli(tmp_path, command, "--format", fmt, name=f"{command}-2.{fmt}")
+            assert rc1 == rc2 == 0, (command, fmt)
+            assert first and first == second, (command, fmt)
     rc1, text1 = run_cli(tmp_path, "simulate", "--seed", "0", name="a.json")
     rc2, text2 = run_cli(tmp_path, "simulate", "--seed", "0", name="b.json")
     assert rc1 == rc2 == 0
@@ -273,6 +279,14 @@ def test_negative_seed_is_exit_2(tmp_path, capsys):
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "DomainError"
+
+
+def test_non_finite_sweep_thickness_is_exit_1(tmp_path, capsys):
+    rc = main(["sweep", "--b-min", "nan", "--out", str(tmp_path / "s.json")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ConfigError"
+    assert err["error"]["message"].endswith("got nan")
 
 
 def test_io_error_is_exit_3(capsys):

@@ -4,18 +4,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wiregrid import (
+    ConfigError,
     DomainError,
     ExperimentConfig,
     VisibilityInputs,
+    absorbed_fraction_two_beams,
     classical_whichway,
     complementarity_report,
+    coverage_fraction,
+    fraction_report,
     grid_metrics,
     quantum_whichway,
     sweep_thickness,
+    validate_config,
     visibility_from_intensities,
     visibility_lower_bound,
     worst_case_intensity_pair,
 )
+from wiregrid.budget import absorbed_fraction_formula
 
 BENCH_X = 0.001240
 BENCH_Y = 0.07529
@@ -223,6 +229,80 @@ def test_sweep_out_of_domain_rows_marked(reference_config):
     assert not rows[1].in_domain
     assert rows[1].classical_whichway_lower is None
     assert "1/2" in rows[1].note
+
+
+# in this narrow-beam geometry wires thicker than about 238 um absorb over half of an arm
+OUT_OF_DOMAIN_CONFIG = ExperimentConfig(
+    wire_pitch=300e-6, wire_count=2, beam_side=0.72e-3, wire_thickness=32e-6
+)
+
+
+def _scalar_sweep_row(config, b):
+    """One sweep row through the scalar pipeline on a config of thickness b."""
+    c_b = validate_config(config.replace(wire_thickness=b))
+    x, y = absorbed_fraction_two_beams(c_b), coverage_fraction(c_b)
+    row = dict(wire_thickness=b, absorbed=x, covered=y, in_domain=x <= 0.5)
+    if not row["in_domain"]:
+        v = visibility_lower_bound(x, y)
+        return row | dict(visibility_lower=v, visibility_sq=v * v, quantum_sum=v * v,
+                          classical_whichway_lower=None, classical_sq=None, classical_sum=None)
+    r = fraction_report(x, y)
+    return row | dict(
+        visibility_lower=r.visibility_lower,
+        visibility_sq=r.visibility_lower**2,
+        quantum_sum=r.quantum_sum,
+        classical_whichway_lower=r.classical_whichway_lower,
+        classical_sq=r.classical_whichway_lower**2,
+        classical_sum=r.classical_sum,
+    )
+
+
+@pytest.mark.parametrize(
+    "config,b_values",
+    [
+        (ExperimentConfig(), np.linspace(1e-6, 150e-6, 150)),
+        (OUT_OF_DOMAIN_CONFIG, np.linspace(1e-6, 299e-6, 40)),
+    ],
+    ids=["reference", "out-of-domain"],
+)
+def test_sweep_matches_scalar_pipeline(config, b_values):
+    rows = sweep_thickness(config, b_values)
+    assert len(rows) == len(b_values)
+    for row, b in zip(rows, b_values):
+        expected = _scalar_sweep_row(config, float(b))
+        for name, want in expected.items():
+            got = getattr(row, name)
+            if want is None or isinstance(want, bool):
+                assert got is want, name
+            else:
+                assert type(got) is float, name
+                assert got == pytest.approx(want, rel=1e-9, abs=0.0), name
+    if config is OUT_OF_DOMAIN_CONFIG:
+        assert any(r.in_domain for r in rows) and not all(r.in_domain for r in rows)
+
+
+def test_scalar_pipeline_returns_plain_python_types(reference_config):
+    assert type(absorbed_fraction_formula(32e-6, 319e-6, 6, 2.55e-3)) is float
+    assert type(visibility_lower_bound(BENCH_X, BENCH_Y)) is float
+    assert type(classical_whichway(BENCH_X)) is float
+    report = grid_metrics(reference_config)
+    for name, value in report.as_dict().items():
+        assert type(value) in (float, bool), name
+    assert type(report.quantum_inequality_satisfied) is bool
+
+
+def test_elementwise_bounds_name_the_first_bad_value():
+    xs = np.array([0.1, 0.6, 0.7])
+    with pytest.raises(DomainError, match=r"1/2\], got 0\.6$"):
+        classical_whichway(xs)
+    assert classical_whichway(xs[:1]).tolist() == [1.0 - 2.0 * 0.1]
+    with pytest.raises(DomainError, match="x=0.5 exceeds the uniform share for y=0.1"):
+        visibility_lower_bound(np.array([0.01, 0.5]), np.array([0.1, 0.1]))
+
+
+def test_sweep_rejects_non_finite_thickness(reference_config):
+    with pytest.raises(ConfigError, match=r"finite length, got nan$"):
+        sweep_thickness(reference_config, [1e-6, float("nan"), 2e-6])
 
 
 def test_sweep_rejects_unsorted_or_out_of_range(reference_config):

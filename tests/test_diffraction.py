@@ -11,6 +11,7 @@ from wiregrid import (
     FieldProfile,
     PeakNotFoundError,
     SamplingError,
+    band_fraction,
     band_power,
     far_field_amplitude,
     far_field_intensity,
@@ -290,8 +291,11 @@ def test_band_power_warns_on_truncated_range(reference_config):
 
 def test_first_peak_area_near_stated_share(reference_config, reference_pattern):
     lo, hi = first_peak_bounds(reference_pattern, "positive")
-    frac = band_power(reference_pattern, lo, hi)
+    frac = band_fraction(reference_config, lo, hi)
     assert frac == pytest.approx(0.00075, rel=0.20)
+    # the sampled pattern misses the slowly decaying tail of the total, so its
+    # share reads slightly high; it stays as the oracle for the Parseval one
+    assert band_power(reference_pattern, lo, hi) == pytest.approx(frac, rel=0.02)
 
 
 def test_band_power_grid_refinement(reference_config, reference_pattern):

@@ -19,7 +19,6 @@ def make_budget(x=0.0012401415665121626, f_det=0.0016144048753482427):
     return PhotonBudget(
         absorbed=x,
         covered=0.07529411764705882,
-        diffracted_total=x,
         diffracted_to_detectors=x * f_det,
         diffracted_away=x * (1 - f_det),
         detected=1.0 - x - x * (1 - f_det),
@@ -147,7 +146,6 @@ def test_degenerate_budget_all_detected():
     budget = PhotonBudget(
         absorbed=0.0,
         covered=0.07529411764705882,
-        diffracted_total=0.0,
         diffracted_to_detectors=0.0,
         diffracted_away=0.0,
         detected=1.0,
@@ -214,7 +212,6 @@ def _edge_on_a_word_budget():
     return PhotonBudget(
         absorbed=1.0 - u,
         covered=0.5,
-        diffracted_total=1.0 - u,
         diffracted_to_detectors=0.0,
         diffracted_away=0.0,
         detected=u,
@@ -228,7 +225,6 @@ TALLY_BUDGETS = {
     "zero-probability-fate": lambda: PhotonBudget(
         absorbed=0.25,
         covered=0.5,
-        diffracted_total=0.25,
         diffracted_to_detectors=0.25,
         diffracted_away=0.0,
         detected=0.75,
@@ -238,7 +234,6 @@ TALLY_BUDGETS = {
     "all-detected": lambda: PhotonBudget(
         absorbed=0.0,
         covered=0.07529411764705882,
-        diffracted_total=0.0,
         diffracted_to_detectors=0.0,
         diffracted_away=0.0,
         detected=1.0,
