@@ -9,6 +9,7 @@ and seeded single-photon Monte Carlo tallies.
 __version__ = "0.1.0"
 
 from .budget import (
+    Check,
     PhotonBudget,
     SingleBeamBudget,
     absorbed_fraction_quadrature,
@@ -16,6 +17,7 @@ from .budget import (
     absorbed_fraction_two_beams,
     band_fraction,
     coverage_fraction,
+    crosscheck,
     detector_capture_fraction,
     single_beam_budget,
     two_beam_budget,

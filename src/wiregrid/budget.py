@@ -15,6 +15,9 @@ over the strips (times the pattern's fixed scale), a closed form, so no
 pattern is sampled and the share does not depend on any sampled range.
 The window integral is composite Gauss-Legendre quadrature on panels of
 half an array lobe.
+
+``crosscheck`` holds the checks behind ``wiregrid validate``: each closed
+form against an independent numerical route.
 """
 
 from __future__ import annotations
@@ -25,8 +28,18 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import ExperimentConfig, validate_config, wire_centers
-from .diffraction import _grid_intensity, _single_beam_amplitude, detector_windows
+from .config import ExperimentConfig, derive_geometry, validate_config, wire_centers
+from .diffraction import (
+    _fringe_amplitude,
+    _grid_intensity,
+    _single_beam_amplitude,
+    detector_windows,
+    far_field_amplitude,
+    fringe_field_profile,
+    two_beam_grid_intensity,
+    wire_strip_complement_profile,
+)
+from .errors import ConfigError
 
 
 @functools.cache
@@ -281,3 +294,77 @@ def single_beam_budget(config: ExperimentConfig) -> SingleBeamBudget:
         wrong_detector=y * f_wrong,
         detector_half_width=config.detector_half_width,
     )
+
+
+@dataclass(frozen=True)
+class Check:
+    """One cross-check: its name, whether it passed, and the measured figure."""
+
+    name: str
+    passed: bool
+    detail: str
+
+
+def crosscheck(config: ExperimentConfig) -> list[Check]:
+    """Check the configuration and each closed form against an independent route.
+
+    Rows, in order, each with its pass condition:
+
+    * ``config_invariants``: ``validate_config`` accepts the config; if it
+      does not, this failing row is the only one;
+    * ``fringe_pitch_match``: the fringe spacing lies within 1 % of the pitch;
+    * ``absorbed_closed_vs_quadrature``: the closed-form absorbed fraction
+      and its Simpson quadrature agree to 1e-10 relative;
+    * ``fourier_oracle_vs_closed_form``: the quadrature intensity of the
+      wire-strip complement matches ``two_beam_grid_intensity`` up to a
+      fitted scale, normalised RMS below 1 %;
+    * ``fringe_oracle_vs_closed_form``: the quadrature amplitude of the
+      unmasked fringe field matches its closed form within 1e-3 of the peak.
+
+    Both quadratures run on 1501 angles over |theta| <= 2.5 mrad.
+    """
+    try:
+        validate_config(config)
+    except ConfigError as exc:
+        return [Check("config_invariants", False, str(exc))]
+    checks = [Check("config_invariants", True, "all invariants hold")]
+
+    mismatch = derive_geometry(config).fringe_consistency
+    checks.append(
+        Check(
+            "fringe_pitch_match",
+            mismatch <= 0.01,
+            f"|fringe spacing - pitch| / pitch = {mismatch:.3g}",
+        )
+    )
+
+    x_closed = absorbed_fraction_two_beams(config)
+    rel = abs(absorbed_fraction_quadrature(config) - x_closed) / x_closed
+    checks.append(
+        Check("absorbed_closed_vs_quadrature", rel < 1e-10, f"relative difference {rel:.3g}")
+    )
+
+    theta = np.linspace(-0.0025, 0.0025, 1501)
+    complement = wire_strip_complement_profile(config, max_sin_theta=0.0025)
+    numeric = np.abs(far_field_amplitude(complement, theta)) ** 2
+    closed = two_beam_grid_intensity(theta, config)
+    scale = float(np.dot(numeric, closed) / np.dot(closed, closed))
+    nrms = float(
+        np.sqrt(np.mean((numeric - scale * closed) ** 2))
+        / np.sqrt(np.mean((scale * closed) ** 2))
+    )
+    checks.append(Check("fourier_oracle_vs_closed_form", nrms < 0.01, f"normalized RMS {nrms:.3g}"))
+
+    full = fringe_field_profile(config, grid_present=False, max_sin_theta=0.0025)
+    q = (2.0 * math.pi / config.wavelength) * np.sin(theta)
+    closed_amp = _fringe_amplitude(config, q)
+    error = np.max(np.abs(far_field_amplitude(full, theta) - closed_amp))
+    deviation = float(error / np.max(np.abs(closed_amp)))
+    checks.append(
+        Check(
+            "fringe_oracle_vs_closed_form",
+            deviation < 1e-3,
+            f"max deviation {deviation:.3g} of peak",
+        )
+    )
+    return checks

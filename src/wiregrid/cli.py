@@ -19,22 +19,15 @@ import numpy as np
 
 from . import __version__
 from .budget import (
-    absorbed_fraction_quadrature,
     absorbed_fraction_two_beams,
     coverage_fraction,
+    crosscheck,
     single_beam_budget,
     two_beam_budget,
 )
 from .complementarity import fraction_report, sweep_thickness, worst_case_intensity_pair
 from .config import DEFAULTS, ExperimentConfig, derive_geometry, validate_config
-from .diffraction import (
-    detector_windows,
-    far_field_amplitude,
-    fringe_field_profile,
-    symmetric_grid,
-    two_beam_grid_intensity,
-    wire_strip_complement_profile,
-)
+from .diffraction import detector_windows, symmetric_grid, two_beam_grid_intensity
 from .errors import (
     BandRangeError,
     ConfigError,
@@ -367,68 +360,25 @@ def _cmd_scenario(request: RunRequest, config: ExperimentConfig, out) -> int:
 
 
 def _cmd_validate(request: RunRequest, config: ExperimentConfig, out) -> int:
-    checks: list[tuple[str, bool, str]] = []
-    geo = derive_geometry(config)
-    checks.append(("config_invariants", True, "all invariants hold"))
-    checks.append(
-        (
-            "fringe_pitch_match",
-            geo.fringe_consistency <= 0.01,
-            f"|fringe spacing - pitch| / pitch = {geo.fringe_consistency:.3g}",
-        )
-    )
-
-    x_closed = absorbed_fraction_two_beams(config)
-    x_quad = absorbed_fraction_quadrature(config)
-    rel = abs(x_quad - x_closed) / x_closed
-    checks.append(
-        (
-            "absorbed_closed_vs_quadrature",
-            rel < 1e-10,
-            f"relative difference {rel:.3g}",
-        )
-    )
-
-    theta = np.linspace(-0.0025, 0.0025, 1501)
-    complement = wire_strip_complement_profile(config, max_sin_theta=0.0025)
-    a_complement = far_field_amplitude(complement, theta)
-    numeric = np.abs(a_complement) ** 2
-    closed = two_beam_grid_intensity(theta, config)
-    scale = float(np.dot(numeric, closed) / np.dot(closed, closed))
-    nrms = float(
-        np.sqrt(np.mean((numeric - scale * closed) ** 2))
-        / np.sqrt(np.mean((scale * closed) ** 2))
-    )
-    checks.append(
-        ("fourier_oracle_vs_closed_form", nrms < 0.01, f"normalized RMS {nrms:.3g}")
-    )
-
-    full = fringe_field_profile(config, grid_present=False, max_sin_theta=0.0025)
-    masked = fringe_field_profile(config, grid_present=True, max_sin_theta=0.0025)
-    a_full = far_field_amplitude(full, theta)
-    a_sum = far_field_amplitude(masked, theta) + a_complement
-    peak = float(np.max(np.abs(a_full)))
-    linearity = float(np.max(np.abs(a_full - a_sum))) / peak
-    checks.append(
-        ("babinet_amplitude_linearity", linearity < 1e-10, f"max deviation {linearity:.3g} of peak")
-    )
-
-    header = ["check", "status", "detail"]
-    table = [[name, "pass" if ok else "FAIL", detail] for name, ok, detail in checks]
+    checks = crosscheck(config)
     if request.output_format == "json":
         emit_report(
             {
                 "config": _config_echo(config),
                 "checks": [
-                    {"check": n, "passed": ok, "detail": det} for n, ok, det in checks
+                    {"check": c.name, "passed": c.passed, "detail": c.detail} for c in checks
                 ],
             },
             "json",
             out,
         )
     else:
-        emit_rows(header, table, out)
-    return 0 if all(ok for _, ok, _ in checks) else 2
+        emit_rows(
+            ["check", "status", "detail"],
+            [[c.name, "pass" if c.passed else "FAIL", c.detail] for c in checks],
+            out,
+        )
+    return 0 if all(c.passed for c in checks) else 2
 
 
 _COMMANDS = {

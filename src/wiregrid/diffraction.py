@@ -10,8 +10,10 @@ Every pattern the analysis uses is evaluated in closed form:
 
 A numerical Fourier-integral quadrature over sampled aperture field
 profiles (``far_field_amplitude``) is kept only as an independent oracle
-for those closed forms, used with the fringe field and its wire-strip
-(Babinet) complement.
+for those closed forms: ``budget.crosscheck`` transforms the fringe field
+restricted to the wire strips (the Babinet complement of the masked field)
+against the two-beam pattern, and the unmasked fringe field against its own
+closed form (``_fringe_amplitude``).
 
 Everything is scalar Fraunhofer on the plane containing the beams; patterns
 carry an arbitrary overall scale, so only ratios of band integrals mean
@@ -298,11 +300,23 @@ def wire_strip_complement_profile(
 # ---------------------------------------------------------------------------
 
 def _transform(x: np.ndarray, amp: np.ndarray, q: np.ndarray, chunk: int = 256) -> np.ndarray:
-    """Trapezoid quadrature of the aperture integral for each q."""
+    """Trapezoid quadrature of the aperture integral for each q.
+
+    The trapezoid weights are folded into the amplitude once and nodes whose
+    weighted amplitude is zero (masked parts of the aperture) are dropped, so
+    the kernel spans only the profile's support.  The complex exponential is
+    split into real cosine and sine products; chunks of ``chunk`` angles
+    bound the kernel's memory.
+    """
+    dx = np.diff(x)
+    weights = np.concatenate(([dx[0]], dx[:-1] + dx[1:], [dx[-1]])) / 2.0
+    wa = weights * amp
+    support = wa != 0.0
+    xs, wa = x[support], wa[support]
     out = np.empty(q.shape, dtype=complex)
     for i in range(0, len(q), chunk):
-        kernel = np.exp(-1j * np.outer(q[i : i + chunk], x))
-        out[i : i + chunk] = np.trapezoid(kernel * amp, x, axis=1)
+        phase = np.outer(q[i : i + chunk], xs)
+        out[i : i + chunk] = np.cos(phase) @ wa - 1j * (np.sin(phase) @ wa)
     return out
 
 
@@ -484,6 +498,19 @@ def _single_beam_amplitude(
         return strips
     w = config.beam_side
     return w * np.sinc(q * w / (2.0 * math.pi)) - strips
+
+
+def _fringe_amplitude(config: ExperimentConfig, q: np.ndarray) -> np.ndarray:
+    """Closed-form far field of the unmasked fringe field cos(k x), k = pi / d.
+
+    Over the beam width W this is (W/2)[sinc((q-k)W/2pi) + sinc((q+k)W/2pi)],
+    real because the field is even; the normalised ``np.sinc`` needs no
+    branch at q = +-k.
+    """
+    k = math.pi / config.wire_pitch
+    w = config.beam_side
+    to_sinc = w / (2.0 * math.pi)
+    return (w / 2.0) * (np.sinc((q - k) * to_sinc) + np.sinc((q + k) * to_sinc))
 
 
 def _single_beam_pattern(config: ExperimentConfig, keep_strips: bool) -> DiffractionPattern:

@@ -13,7 +13,7 @@ thresholds, which is exactly equivalent to comparing the 53-bit uniform
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -179,19 +179,30 @@ def sample_fates(
 
 @dataclass(frozen=True)
 class EmpiricalMetrics:
-    """Point estimates recovered from tallies, with delta-method errors."""
+    """Point estimates recovered from tallies, with delta-method errors.
+
+    The V and K' estimates themselves are ``report.visibility_lower`` and
+    ``report.classical_whichway_lower``.
+    """
 
     absorbed_fraction: float
     absorbed_stderr: float
-    visibility_lower: float
     visibility_stderr: float
-    classical_whichway_lower: float
     classical_stderr: float
     report: ComplementarityReport
 
     def as_dict(self) -> dict:
-        out = asdict(self)
-        out.update(out.pop("report"))  # the report's keys follow the estimates
+        """Each estimate beside its error, then the rest of the report."""
+        report = self.report.as_dict()
+        out = {
+            "absorbed_fraction": self.absorbed_fraction,
+            "absorbed_stderr": self.absorbed_stderr,
+            "visibility_lower": report.pop("visibility_lower"),
+            "visibility_stderr": self.visibility_stderr,
+            "classical_whichway_lower": report.pop("classical_whichway_lower"),
+            "classical_stderr": self.classical_stderr,
+        }
+        out.update(report)
         return out
 
 
@@ -220,9 +231,7 @@ def estimate_metrics(counts: FateCounts, config: ExperimentConfig) -> EmpiricalM
     return EmpiricalMetrics(
         absorbed_fraction=x_hat,
         absorbed_stderr=se_x,
-        visibility_lower=report.visibility_lower,
         visibility_stderr=abs(_visibility_slope(x_hat, y)) * se_x,
-        classical_whichway_lower=report.classical_whichway_lower,
         classical_stderr=2.0 * se_x,
         report=report,
     )

@@ -6,16 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wiregrid.budget
 from wiregrid import (
     ExperimentConfig,
     absorbed_fraction_quadrature,
     absorbed_fraction_small_b,
     absorbed_fraction_two_beams,
     coverage_fraction,
+    crosscheck,
     detector_capture_fraction,
     detector_windows,
     single_beam_budget,
     two_beam_budget,
+    two_beam_grid_intensity,
 )
 from wiregrid.budget import (
     PhotonBudget,
@@ -296,3 +299,68 @@ def test_window_integrals_match_dense_trapezoid(reference_config, b_um):
     f_own, f_wrong = (dense["strip", side] / _strip_total(cfg) for side in ("pos", "neg"))
     assert single.own_detector_decrease == pytest.approx(single.blocked * (2 - f_own), rel=1e-6)
     assert single.wrong_detector == pytest.approx(single.blocked * f_wrong, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# cross-checks
+# ---------------------------------------------------------------------------
+
+CROSSCHECK_ROWS = [
+    "config_invariants",
+    "fringe_pitch_match",
+    "absorbed_closed_vs_quadrature",
+    "fourier_oracle_vs_closed_form",
+    "fringe_oracle_vs_closed_form",
+]
+
+
+def test_crosscheck_passes_on_reference(reference_config):
+    checks = crosscheck(reference_config)
+    assert [c.name for c in checks] == CROSSCHECK_ROWS
+    assert all(c.passed for c in checks), checks
+
+
+def test_crosscheck_reports_a_bad_config_as_its_only_row():
+    checks = crosscheck(ExperimentConfig(wire_count=5))
+    assert [(c.name, c.passed) for c in checks] == [("config_invariants", False)]
+    assert "even" in checks[0].detail
+
+
+def _fringe_amplitude_k_off_by_one_percent(config, q):
+    k = 1.01 * math.pi / config.wire_pitch
+    w = config.beam_side
+    return (w / 2) * (np.sinc((q - k) * w / (2 * math.pi)) + np.sinc((q + k) * w / (2 * math.pi)))
+
+
+def _pitch_off_by_one_percent(theta, config):
+    return two_beam_grid_intensity(theta, config.replace(wire_pitch=1.01 * config.wire_pitch))
+
+
+@pytest.mark.parametrize(
+    "row, attribute, wrong",
+    [
+        ("fringe_pitch_match", None, None),
+        (
+            "absorbed_closed_vs_quadrature",
+            "absorbed_fraction_quadrature",
+            lambda config: absorbed_fraction_two_beams(config) * (1 + 1e-9),
+        ),
+        ("fourier_oracle_vs_closed_form", "two_beam_grid_intensity", _pitch_off_by_one_percent),
+        (
+            "fringe_oracle_vs_closed_form",
+            "_fringe_amplitude",
+            _fringe_amplitude_k_off_by_one_percent,
+        ),
+    ],
+)
+def test_each_crosscheck_row_can_fail_alone(reference_config, monkeypatch, row, attribute, wrong):
+    # a wrong closed form or oracle fails its own row and no other; the
+    # pitch row fails on a 2.05 mrad crossing angle (2.4 % fringe mismatch)
+    config = reference_config
+    if attribute is None:
+        config = reference_config.replace(crossing_angle=2.05e-3)
+    else:
+        monkeypatch.setattr(wiregrid.budget, attribute, wrong)
+    checks = crosscheck(config)
+    assert [c.name for c in checks] == CROSSCHECK_ROWS
+    assert [c.name for c in checks if not c.passed] == [row]

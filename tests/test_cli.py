@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from wiregrid import DiffractionPattern, ExperimentConfig, first_peak_bounds
+from wiregrid import DiffractionPattern, ExperimentConfig, crosscheck, first_peak_bounds
 from wiregrid.cli import apply_overrides, main, parse_config
 from wiregrid.errors import ConfigParseError
 
@@ -237,11 +237,27 @@ def test_validate_passes_on_defaults(tmp_path, capsys):
     rc, text = run_cli(tmp_path, "validate", name="validate.json")
     assert rc == 0
     data = json.loads(text)
-    names = {c["check"] for c in data["checks"]}
+    names = [c["check"] for c in data["checks"]]
     assert "fourier_oracle_vs_closed_form" in names
-    assert "babinet_amplitude_linearity" in names
+    assert "fringe_oracle_vs_closed_form" in names
     assert "absorbed_closed_vs_quadrature" in names
+    assert names == [c.name for c in crosscheck(ExperimentConfig())]
     assert all(c["passed"] for c in data["checks"])
+
+
+def test_validate_fringe_mismatch_is_exit_2(tmp_path):
+    # 2.05 mrad puts the fringe spacing 2.4 % off the pitch; only that row fails
+    override = ("--override", "crossing_angle=2.05 mrad")
+    rc, text = run_cli(tmp_path, "validate", *override, name="validate.json")
+    assert rc == 2
+    failed = [c["check"] for c in json.loads(text)["checks"] if not c["passed"]]
+    assert failed == ["fringe_pitch_match"]
+    rc, text = run_cli(tmp_path, "validate", *override, "--format", "csv", name="validate.csv")
+    assert rc == 2
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == ["check", "status", "detail"]
+    failed = [(r[0], r[1]) for r in rows[1:] if r[1] != "pass"]
+    assert failed == [("fringe_pitch_match", "FAIL")]
 
 
 # ---------------------------------------------------------------------------

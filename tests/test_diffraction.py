@@ -24,11 +24,13 @@ from wiregrid import (
     wire_centers,
     wire_strip_complement_profile,
 )
+import wiregrid.diffraction
 from wiregrid.diffraction import (
     _aperture_grid,
     _masked_amplitudes,
     _single_beam_amplitude,
     _single_beam_theta_grid,
+    _transform,
 )
 
 LAM = 638e-9
@@ -199,6 +201,53 @@ def test_profiles_share_grid_and_add_exactly(reference_config):
 # ---------------------------------------------------------------------------
 # Fourier oracle
 # ---------------------------------------------------------------------------
+
+def _dense_transform(x, amp, q):
+    """The plain complex trapezoid over every node: the reference for _transform."""
+    return np.trapezoid(np.exp(-1j * np.outer(q, x)) * amp, x, axis=1)
+
+
+class _OuterRecorder:
+    """Stands in for numpy inside diffraction, recording each np.outer shape."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def outer(self, a, b):
+        self.shapes.append((len(a), len(b)))
+        return np.outer(a, b)
+
+
+@pytest.mark.parametrize(
+    "profile", ["one_sided_sine", "shifted_cosine", "masked", "complement", "zero"]
+)
+def test_transform_matches_dense_trapezoid(reference_config, monkeypatch, profile):
+    # non-even profiles exercise the sine term, the masked ones the dropped
+    # zero nodes; 301 angles span two chunks
+    x = fringe_field_profile(reference_config, grid_present=False).x_samples
+    d = reference_config.wire_pitch
+    amp = {
+        "one_sided_sine": np.where(x > 0, np.sin(np.pi * x / d), 0.0),
+        "shifted_cosine": np.cos(np.pi * (x - d / 8) / d),
+        "masked": fringe_field_profile(reference_config, grid_present=True).amplitude_samples,
+        "complement": wire_strip_complement_profile(reference_config).amplitude_samples,
+        "zero": np.zeros_like(x),
+    }[profile]
+    q = 2 * math.pi / LAM * np.sin(np.linspace(-2.5e-3, 2.5e-3, 301))
+    recorder = _OuterRecorder()
+    monkeypatch.setattr(wiregrid.diffraction, "np", recorder)
+    got = _transform(x, amp, q)
+    monkeypatch.undo()
+    want = _dense_transform(x, amp, q)
+    assert got.dtype == complex and got.shape == q.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # the kernel spans the profile's support only
+    assert all(nodes == np.count_nonzero(amp) for _, nodes in recorder.shapes)
+    assert sum(angles for angles, _ in recorder.shapes) == q.size
+
 
 def test_uniform_aperture_gives_sinc_squared():
     x = np.linspace(-W / 2, W / 2, 4001)

@@ -302,9 +302,24 @@ def test_estimates_from_rounded_expected_counts(reference_config):
     )
     m = estimate_metrics(counts, reference_config)
     assert m.absorbed_fraction == 0.001240
-    assert m.visibility_lower == pytest.approx(0.96996, abs=1e-5)
-    assert m.classical_whichway_lower == pytest.approx(0.99752, abs=1e-6)
+    assert m.report.visibility_lower == pytest.approx(0.96996, abs=1e-5)
+    assert m.report.classical_whichway_lower == pytest.approx(0.99752, abs=1e-6)
     assert m.report.quantum_whichway == 0.0
+    # each estimate sits beside its error, the rest of the report follows
+    assert list(m.as_dict()) == [
+        "absorbed_fraction",
+        "absorbed_stderr",
+        "visibility_lower",
+        "visibility_stderr",
+        "classical_whichway_lower",
+        "classical_stderr",
+        "quantum_whichway",
+        "quantum_sum",
+        "classical_sum",
+        "quantum_inequality_satisfied",
+        "classical_sum_below_two",
+    ]
+    assert m.as_dict()["visibility_lower"] == m.report.visibility_lower
 
 
 def test_estimator_round_trip_matches_closed_forms(reference_config, reference_budget):
@@ -326,8 +341,8 @@ def test_estimator_round_trip_matches_closed_forms(reference_config, reference_b
     y = reference_budget.covered
     # rounding the counts moves x by at most 1/(2n)
     assert abs(m.absorbed_fraction - x) <= 0.5 / n + 1e-15
-    assert m.visibility_lower == pytest.approx(visibility_lower_bound(x, y), abs=1e-5)
-    assert m.classical_whichway_lower == pytest.approx(1 - 2 * x, abs=1.1 / n)
+    assert m.report.visibility_lower == pytest.approx(visibility_lower_bound(x, y), abs=1e-5)
+    assert m.report.classical_whichway_lower == pytest.approx(1 - 2 * x, abs=1.1 / n)
 
 
 def test_zero_absorbed_gives_unit_bounds(reference_config):
@@ -336,8 +351,8 @@ def test_zero_absorbed_gives_unit_bounds(reference_config):
         diffracted_to_detectors=0, seed=0, total=1000,
     )
     m = estimate_metrics(counts, reference_config)
-    assert m.visibility_lower == 1.0
-    assert m.classical_whichway_lower == 1.0
+    assert m.report.visibility_lower == 1.0
+    assert m.report.classical_whichway_lower == 1.0
     assert m.absorbed_stderr == 0.0
 
 
