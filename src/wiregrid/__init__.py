@@ -50,10 +50,8 @@ from .diffraction import (
     band_power,
     detector_windows,
     far_field_amplitude,
-    far_field_intensity,
-    first_peak_bounds,
+    first_order_window,
     fringe_field_profile,
-    single_beam_masked_far_field,
     single_beam_strip_far_field,
     symmetric_grid,
     two_beam_grid_intensity,
@@ -65,7 +63,6 @@ from .errors import (
     ConfigError,
     ConfigParseError,
     DomainError,
-    PeakNotFoundError,
     SamplingError,
     WiregridError,
 )

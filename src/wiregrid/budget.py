@@ -279,7 +279,7 @@ def single_beam_budget(config: ExperimentConfig) -> SingleBeamBudget:
     total = _strip_total(config)
 
     def intensity(q):
-        return _single_beam_amplitude(config, q, keep_strips=True) ** 2
+        return _single_beam_amplitude(config, q) ** 2
 
     def fraction(window):
         lo, hi = window
@@ -355,7 +355,7 @@ def crosscheck(config: ExperimentConfig) -> list[Check]:
     )
     checks.append(Check("fourier_oracle_vs_closed_form", nrms < 0.01, f"normalized RMS {nrms:.3g}"))
 
-    full = fringe_field_profile(config, grid_present=False, max_sin_theta=0.0025)
+    full = fringe_field_profile(config, max_sin_theta=0.0025)
     q = (2.0 * math.pi / config.wavelength) * np.sin(theta)
     closed_amp = _fringe_amplitude(config, q)
     error = np.max(np.abs(far_field_amplitude(full, theta) - closed_amp))

@@ -28,14 +28,7 @@ from .budget import (
 from .complementarity import fraction_report, sweep_thickness, worst_case_intensity_pair
 from .config import DEFAULTS, ExperimentConfig, derive_geometry, validate_config
 from .diffraction import detector_windows, symmetric_grid, two_beam_grid_intensity
-from .errors import (
-    BandRangeError,
-    ConfigError,
-    ConfigParseError,
-    DomainError,
-    PeakNotFoundError,
-    SamplingError,
-)
+from .errors import ConfigError, ConfigParseError, DomainError, WiregridError
 from .montecarlo import estimate_metrics, sample_fates
 from .scenarios import truth_table
 
@@ -474,9 +467,9 @@ def main(argv: list[str] | None = None) -> int:
     request = _request_from_args(args)
     try:
         return run(request)
-    except (ConfigParseError, ConfigError) as exc:
+    except ConfigError as exc:
         return _emit_error(exc, 1)
-    except (DomainError, SamplingError, BandRangeError, PeakNotFoundError, ValueError) as exc:
+    except (WiregridError, ValueError) as exc:
         return _emit_error(exc, 2)
     except OSError as exc:
         return _emit_error(exc, 3)

@@ -8,7 +8,7 @@ other module in the package accepts only validated configurations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .errors import ConfigError
 
@@ -68,16 +68,7 @@ class ExperimentConfig:
         return replace(self, **changes)
 
     def as_dict(self) -> dict:
-        return dict(
-            wavelength=self.wavelength,
-            wire_thickness=self.wire_thickness,
-            wire_pitch=self.wire_pitch,
-            wire_count=self.wire_count,
-            beam_side=self.beam_side,
-            crossing_angle=self.crossing_angle,
-            detector_half_width=self.detector_half_width,
-            photon_count=self.photon_count,
-        )
+        return asdict(self)
 
 
 @dataclass(frozen=True)

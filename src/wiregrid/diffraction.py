@@ -3,17 +3,19 @@
 Every pattern the analysis uses is evaluated in closed form:
 
 * the grid placed at the dark fringes of two crossed coherent beams
-  (``two_beam_grid_intensity``), and
-* one uniform beam on the grid, either its diffracted component alone
-  (uniform field on the wire strips) or the beam with the strips blacked
-  out (``single_beam_strip_far_field``, ``single_beam_masked_far_field``).
+  (``two_beam_grid_intensity``), with the angular span of its first
+  grating order between the bracketing zeros (``first_order_window``), and
+* the diffracted component of one uniform beam on the grid, a uniform field
+  on the wire strips (``single_beam_strip_far_field``).
 
 A numerical Fourier-integral quadrature over sampled aperture field
 profiles (``far_field_amplitude``) is kept only as an independent oracle
 for those closed forms: ``budget.crosscheck`` transforms the fringe field
 restricted to the wire strips (the Babinet complement of the masked field)
 against the two-beam pattern, and the unmasked fringe field against its own
-closed form (``_fringe_amplitude``).
+closed form (``_fringe_amplitude``).  The sampled patterns
+(``two_beam_pattern``, ``single_beam_strip_far_field``, ``band_power``) feed
+no budget; they remain as references for the tests and the benchmark probe.
 
 Everything is scalar Fraunhofer on the plane containing the beams; patterns
 carry an arbitrary overall scale, so only ratios of band integrals mean
@@ -29,19 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig, validate_config, wire_centers
-from .errors import BandRangeError, PeakNotFoundError, SamplingError
-
-SCALE_NOTE = "relative intensity; overall scale arbitrary, only band ratios are meaningful"
+from .errors import BandRangeError, DomainError, SamplingError
 
 # Switch the envelope bracket to its power series below this value of
 # (wire_thickness * kappa * sin(theta)); the direct expression loses about
 # half its digits to cancellation there, while three series terms are
 # accurate to ~1e-12 relative up to 0.05.
 _SERIES_THRESHOLD = 0.05
-
-# A grating order must stand at least this far above the neighbouring
-# sidelobe maxima to count as a peak in first_peak_bounds.
-_PEAK_DOMINANCE = 5.0
 
 
 @dataclass(frozen=True)
@@ -50,7 +46,6 @@ class DiffractionPattern:
 
     theta_samples: np.ndarray
     intensity_samples: np.ndarray
-    scale_note: str = SCALE_NOTE
 
     def __post_init__(self):
         theta = np.asarray(self.theta_samples, dtype=float)
@@ -157,6 +152,24 @@ def two_beam_grid_intensity(theta, config: ExperimentConfig):
     return intensity
 
 
+def first_order_window(config: ExperimentConfig) -> tuple[float, float]:
+    """Angles (lo, hi) of the zeros bracketing the positive first grating order.
+
+    The alternating array factor sums to +-sin(M v) / (2 cos v) with
+    v = q d / 2, so the order at v = pi/2 sits between the zeros at
+    v = pi/2 -+ pi/M, i.e. sin(theta) = (lambda / 2d)(1 -+ 2/M).  For M = 2
+    the lower zero is theta = 0.  Raises DomainError when the upper zero
+    lies beyond grazing angle.
+    """
+    validate_config(config)
+    centre = config.wavelength / (2.0 * config.wire_pitch)
+    spread = 2.0 / config.wire_count
+    upper = centre * (1.0 + spread)
+    if upper >= 1.0:
+        raise DomainError(f"first order extends past sin(theta) = 1 (upper zero at {upper:g})")
+    return math.asin(centre * (1.0 - spread)), math.asin(upper)
+
+
 def symmetric_grid(half_range: float, n: int) -> np.ndarray:
     """Uniform grid on [-half_range, half_range] that negates bit-exactly.
 
@@ -233,10 +246,8 @@ def _aperture_grid(config: ExperimentConfig, dx_gap: float) -> np.ndarray:
     return np.concatenate(xs)
 
 
-def _masked_amplitudes(
-    config: ExperimentConfig, x: np.ndarray, base: np.ndarray, keep_strips: bool
-) -> np.ndarray:
-    """Zero ``base`` outside (or inside) the wire strips, half value on edges."""
+def _strip_amplitudes(config: ExperimentConfig, x: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """``base`` on the wire strips, half its value on their edges, zero elsewhere."""
     inside = np.zeros(x.shape, dtype=bool)
     on_edge = np.zeros(x.shape, dtype=bool)
     for lo, hi in _strip_bounds(config):
@@ -245,41 +256,26 @@ def _masked_amplitudes(
             x, hi, rtol=0.0, atol=1e-15
         )
     inside &= ~on_edge
-    amp = np.where(inside if keep_strips else ~(inside | on_edge), base, 0.0)
+    amp = np.where(inside, base, 0.0)
     amp[on_edge] = base[on_edge] / 2.0
     return amp
 
 
-def _fringe_grid(config: ExperimentConfig, max_sin_theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Aperture grid good out to ``max_sin_theta`` and the unmasked fringe field on it.
-
-    The gap spacing gives 10 samples per integrand oscillation at that angle.
-    """
-    validate_config(config)
-    d = config.wire_pitch
-    x = _aperture_grid(config, min(config.wavelength / (10.0 * max_sin_theta), d / 64.0))
-    return x, np.cos(np.pi * x / d)
-
-
-def fringe_field_profile(
-    config: ExperimentConfig,
-    grid_present: bool,
-    max_sin_theta: float = 0.02,
-) -> FieldProfile:
-    """Crossed-beam fringe field at the grid plane, optionally masked.
+def fringe_field_profile(config: ExperimentConfig, *, max_sin_theta: float = 0.02) -> FieldProfile:
+    """Crossed-beam fringe field at the grid plane, without the grid.
 
     The two beams produce amplitude fringes of period twice the intensity
     fringe spacing; with the wires centred on consecutive dark fringes at
     +-pitch/2, +-3*pitch/2, ... the field is cos(pi x / d), which vanishes
-    exactly at every wire centre.  With ``grid_present`` the amplitude is
-    zeroed on each strip [centre - b/2, centre + b/2].
+    exactly at every wire centre.
 
     ``max_sin_theta`` sets the gap sampling so the profile supports far-field
     evaluation out to that angle (10 samples per integrand oscillation).
     """
-    x, base = _fringe_grid(config, max_sin_theta)
-    amp = _masked_amplitudes(config, x, base, keep_strips=False) if grid_present else base
-    return FieldProfile(x, amp, config.wavelength)
+    validate_config(config)
+    d = config.wire_pitch
+    x = _aperture_grid(config, min(config.wavelength / (10.0 * max_sin_theta), d / 64.0))
+    return FieldProfile(x, np.cos(np.pi * x / d), config.wavelength)
 
 
 def wire_strip_complement_profile(
@@ -287,12 +283,12 @@ def wire_strip_complement_profile(
 ) -> FieldProfile:
     """Fringe field restricted to the wire strips (the Babinet complement).
 
-    fringe_field_profile(grid_present=True) plus this profile equals the
-    unmasked fringe field node-for-node, so their far-field amplitudes add
-    exactly under the shared quadrature.
+    It shares the grid of ``fringe_field_profile``; subtracting it from that
+    profile node-for-node gives the field with the strips blacked out.
     """
-    x, base = _fringe_grid(config, max_sin_theta)
-    return FieldProfile(x, _masked_amplitudes(config, x, base, keep_strips=True), config.wavelength)
+    full = fringe_field_profile(config, max_sin_theta=max_sin_theta)
+    x = full.x_samples
+    return FieldProfile(x, _strip_amplitudes(config, x, full.amplitude_samples), config.wavelength)
 
 
 # ---------------------------------------------------------------------------
@@ -344,15 +340,8 @@ def far_field_amplitude(profile: FieldProfile, theta_grid) -> np.ndarray:
     return _transform(profile.x_samples, profile.amplitude_samples, kappa * s)
 
 
-def far_field_intensity(profile: FieldProfile, theta_grid) -> DiffractionPattern:
-    """|far-field amplitude|^2 on the given angular grid."""
-    theta = np.asarray(theta_grid, dtype=float)
-    amp = far_field_amplitude(profile, theta)
-    return DiffractionPattern(theta, np.abs(amp) ** 2)
-
-
 # ---------------------------------------------------------------------------
-# band integrals and peak location
+# band integrals
 # ---------------------------------------------------------------------------
 
 def band_power(pattern: DiffractionPattern, theta_lo: float, theta_hi: float) -> float:
@@ -402,66 +391,6 @@ def _segment_integral(theta: np.ndarray, inten: np.ndarray, lo: float, hi: float
     return float(np.trapezoid(y, t))
 
 
-def first_peak_bounds(pattern: DiffractionPattern, side: str) -> tuple[float, float]:
-    """Locate the first grating order away from theta = 0 on one side.
-
-    Returns the two local minima bracketing it, ascending.  The wire-grid
-    array factor puts weak sidelobes between the orders, so "first peak"
-    means the innermost local maximum that stands at least ``_PEAK_DOMINANCE``
-    times above its neighbouring local maxima; plain sidelobes never qualify
-    because each sits next to a far brighter order.  Needs the pattern
-    sampled with at least ~20 points per array period to resolve the minima.
-    """
-    if side not in ("positive", "negative"):
-        raise ValueError("side must be 'positive' or 'negative'")
-    theta = pattern.theta_samples
-    inten = pattern.intensity_samples
-    if side == "positive":
-        sel = theta > 0
-        t, y = theta[sel], inten[sel]
-    else:
-        sel = theta < 0
-        t, y = -theta[sel][::-1], inten[sel][::-1]
-
-    if len(y) < 3:
-        raise PeakNotFoundError(f"too few samples on the {side} side")
-    interior = np.arange(1, len(y) - 1)
-    is_max = (y[interior] > y[interior - 1]) & (y[interior] > y[interior + 1])
-    is_min = (y[interior] < y[interior - 1]) & (y[interior] < y[interior + 1])
-    maxima = interior[is_max]
-    minima = interior[is_min]
-    if maxima.size == 0:
-        raise PeakNotFoundError(f"no interior local maximum on the {side} side")
-
-    peak = None
-    heights = y[maxima]
-    for j, idx in enumerate(maxima):
-        ok = True
-        if j > 0 and heights[j] < _PEAK_DOMINANCE * heights[j - 1]:
-            ok = False
-        if j + 1 < len(maxima) and heights[j] < _PEAK_DOMINANCE * heights[j + 1]:
-            ok = False
-        if ok:
-            peak = idx
-            break
-    if peak is None:
-        raise PeakNotFoundError(
-            f"no dominant grating order found on the {side} side "
-            f"(every local maximum is comparable to its neighbours)"
-        )
-    left = minima[minima < peak]
-    right = minima[minima > peak]
-    if left.size == 0 or right.size == 0:
-        raise PeakNotFoundError(
-            f"first order on the {side} side is not bracketed by local minima "
-            f"within the sampled range"
-        )
-    lo, hi = t[left[-1]], t[right[0]]
-    if side == "negative":
-        lo, hi = -hi, -lo
-    return (float(lo), float(hi))
-
-
 # ---------------------------------------------------------------------------
 # single-beam (uniform illumination) patterns
 # ---------------------------------------------------------------------------
@@ -481,23 +410,16 @@ def _single_beam_theta_grid(config: ExperimentConfig, s_span: float) -> tuple[np
     return theta, s0
 
 
-def _single_beam_amplitude(
-    config: ExperimentConfig, q: np.ndarray, keep_strips: bool
-) -> np.ndarray:
-    """Closed-form far field of a unit uniform beam, q measured from the beam axis.
+def _single_beam_amplitude(config: ExperimentConfig, q: np.ndarray) -> np.ndarray:
+    """Closed-form far field of a unit uniform field on the wire strips.
 
-    The strips alone give b sinc(q b / 2) sum_j exp(-i q x_j), which is real
-    because the wire centres x_j are symmetric; the masked beam is the full
-    square aperture W sinc(q W / 2) minus that term.  ``np.sinc`` is the
-    normalised sinc, hence the factors of 2 pi.
+    With q measured from the beam axis this is b sinc(q b / 2) sum_j
+    exp(-i q x_j), real because the wire centres x_j are symmetric.
+    ``np.sinc`` is the normalised sinc, hence the factor of 2 pi.
     """
     b = config.wire_thickness
     array = np.cos(np.outer(q, wire_centers(config))).sum(axis=1)
-    strips = b * np.sinc(q * b / (2.0 * math.pi)) * array
-    if keep_strips:
-        return strips
-    w = config.beam_side
-    return w * np.sinc(q * w / (2.0 * math.pi)) - strips
+    return b * np.sinc(q * b / (2.0 * math.pi)) * array
 
 
 def _fringe_amplitude(config: ExperimentConfig, q: np.ndarray) -> np.ndarray:
@@ -513,33 +435,19 @@ def _fringe_amplitude(config: ExperimentConfig, q: np.ndarray) -> np.ndarray:
     return (w / 2.0) * (np.sinc((q - k) * to_sinc) + np.sinc((q + k) * to_sinc))
 
 
-def _single_beam_pattern(config: ExperimentConfig, keep_strips: bool) -> DiffractionPattern:
-    """Single-beam intensity over +-5*lambda/b (capped at 0.2) around the beam axis."""
+def single_beam_strip_far_field(config: ExperimentConfig) -> DiffractionPattern:
+    """Far field of one beam's diffracted component alone (uniform field on strips).
+
+    The beam propagates at +crossing_angle/2, so the pattern is centred on
+    the detector at that angle; the grid covers at least +-5*lambda/b (capped
+    at 0.2) around the beam axis.  This is the Babinet complement of the beam
+    with the strips blacked out.
+    """
     validate_config(config)
     span = min(5.0 * config.wavelength / config.wire_thickness, 0.2)
     theta, s0 = _single_beam_theta_grid(config, span)
     q = (2.0 * math.pi / config.wavelength) * (np.sin(theta) - s0)
-    return DiffractionPattern(theta, _single_beam_amplitude(config, q, keep_strips) ** 2)
-
-
-def single_beam_masked_far_field(config: ExperimentConfig) -> DiffractionPattern:
-    """Far field of one uniform beam with the wire strips blacked out.
-
-    The beam propagates at +crossing_angle/2, so its diffraction-limited
-    lobe lands on the detector at that angle; the grid covers at least
-    +-5*lambda/b (capped at 0.2) around the beam axis.
-    """
-    return _single_beam_pattern(config, keep_strips=False)
-
-
-def single_beam_strip_far_field(config: ExperimentConfig) -> DiffractionPattern:
-    """Far field of the diffracted component alone (uniform field on strips).
-
-    This is the Babinet complement of the masked beam; band fractions of
-    this pattern give the share of grid-scattered light reaching each
-    detector without the unscattered beam flooding the window.
-    """
-    return _single_beam_pattern(config, keep_strips=True)
+    return DiffractionPattern(theta, _single_beam_amplitude(config, q) ** 2)
 
 
 def detector_windows(config: ExperimentConfig) -> tuple[tuple[float, float], tuple[float, float]]:

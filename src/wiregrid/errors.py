@@ -34,6 +34,3 @@ class SamplingError(WiregridError):
 class BandRangeError(WiregridError):
     """An integration band extends beyond the sampled pattern."""
 
-
-class PeakNotFoundError(WiregridError):
-    """No qualifying interior peak exists on the requested side."""

@@ -13,7 +13,7 @@ thresholds, which is exactly equivalent to comparing the 53-bit uniform
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -124,14 +124,7 @@ class FateCounts:
             raise ValueError("exclusive fates must sum to the total")
 
     def as_dict(self) -> dict:
-        return {
-            "detected_own": self.detected_own,
-            "absorbed": self.absorbed,
-            "diffracted_away": self.diffracted_away,
-            "diffracted_to_detectors": self.diffracted_to_detectors,
-            "seed": self.seed,
-            "total": self.total,
-        }
+        return asdict(self)
 
 
 def sample_fates(

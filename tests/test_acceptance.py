@@ -19,7 +19,7 @@ from wiregrid import (
     crosscheck,
     estimate_metrics,
     far_field_amplitude,
-    first_peak_bounds,
+    first_order_window,
     grid_metrics,
     sample_fates,
     sweep_thickness,
@@ -73,28 +73,33 @@ def test_criterion_03_visibility_bound(reference_config):
     )
 
 
-def test_criterion_04_first_peak_geometry(reference_config, reference_pattern):
-    lo, hi = first_peak_bounds(reference_pattern, "positive")
+def test_criterion_04_first_peak_geometry(reference_config):
+    lo, hi = first_order_window(reference_config)
     centre = 0.5 * (lo + hi)
     ok_centre = abs(centre - 0.001) <= 1e-5 and lo < 0.001 < hi
     ok_zero = two_beam_grid_intensity(0.0, reference_config) == 0.0
     theta = symmetric_grid(0.005, 4001)
     intensity = two_beam_grid_intensity(theta, reference_config)
     ok_even = bool(np.array_equal(intensity, intensity[::-1]))
+    # the window edges are the zeros bracketing the order
+    sel = (theta >= lo) & (theta <= hi)
+    edge = max(two_beam_grid_intensity(lo, reference_config),
+               two_beam_grid_intensity(hi, reference_config)) / np.max(intensity[sel])
+    ok_edges = edge <= 1e-20
     # the wire envelope rises across the order, so the raw sample argmax sits
     # a few percent outside the order centre; report it for transparency
-    sel = (theta >= lo) & (theta <= hi)
     argmax = float(theta[sel][np.argmax(intensity[sel])])
     report(
         4,
-        ok_centre and ok_zero and ok_even,
+        ok_centre and ok_zero and ok_even and ok_edges,
         f"first order centre {centre:.6f} rad (0.001 +- 1e-5, enclosed), I(0) = 0, "
-        f"pattern bit-even; envelope-skewed sample argmax at {argmax:.6f} rad",
+        f"pattern bit-even, edge intensity {edge:.1e} of the order peak (<= 1e-20); "
+        f"envelope-skewed sample argmax at {argmax:.6f} rad",
     )
 
 
 def test_criterion_05_first_peak_area(reference_config, reference_pattern):
-    lo, hi = first_peak_bounds(reference_pattern, "positive")
+    lo, hi = first_order_window(reference_config)
     frac = band_fraction(reference_config, lo, hi)
     sampled = band_power(reference_pattern, lo, hi)
     ok = abs(frac - 0.00075) / 0.00075 < 0.20

@@ -259,7 +259,7 @@ def _two_beam_intensity_q(cfg):
 
 
 def _strip_intensity_q(cfg):
-    return lambda q: _single_beam_amplitude(cfg, q, keep_strips=True) ** 2
+    return lambda q: _single_beam_amplitude(cfg, q) ** 2
 
 
 @pytest.mark.parametrize("b_um", [8, 16, 32, 64])

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from wiregrid import DiffractionPattern, ExperimentConfig, crosscheck, first_peak_bounds
+from wiregrid import DEFAULTS, ExperimentConfig, crosscheck, first_order_window
 from wiregrid.cli import apply_overrides, main, parse_config
 from wiregrid.errors import ConfigParseError
 
@@ -39,6 +39,8 @@ def test_all_units_accepted():
     """
     cfg = parse_config(text)
     ref = ExperimentConfig()
+    # the config echo lists the fields in DEFAULTS order
+    assert list(ref.as_dict()) == list(DEFAULTS)
     # unit conversion rounds in the last ulp, so compare fields numerically
     for name, value in ref.as_dict().items():
         assert getattr(cfg, name) == pytest.approx(value, rel=1e-12), name
@@ -104,10 +106,17 @@ def test_pattern_csv_first_order_at_detector_angle(tmp_path):
     inten = np.array([float(r[1]) for r in rows[1:]])
     assert len(theta) == 4001
     assert theta[0] == pytest.approx(-0.01) and theta[-1] == pytest.approx(0.01)
-    pat = DiffractionPattern(theta, inten)
-    lo, hi = first_peak_bounds(pat, "positive")
+    lo, hi = first_order_window(ExperimentConfig())
     assert lo < 0.001 < hi
     assert 0.5 * (lo + hi) == pytest.approx(0.001, abs=1e-5)
+    # the emitted pattern is brightest on the positive side up to hi inside
+    # the window, and nearly dark at the samples next to its edges
+    up_to_hi = (theta > 0) & (theta <= hi)
+    assert lo <= theta[up_to_hi][np.argmax(inten[up_to_hi])] <= hi
+    in_window = (theta >= lo) & (theta <= hi)
+    peak = inten[in_window].max()
+    for edge in (lo, hi):
+        assert inten[np.argmin(np.abs(theta - edge))] <= 1e-3 * peak
     # even in theta
     assert np.array_equal(inten, inten[::-1])
 

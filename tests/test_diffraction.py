@@ -8,16 +8,14 @@ from hypothesis import strategies as st
 from wiregrid import (
     BandRangeError,
     DiffractionPattern,
+    DomainError,
     FieldProfile,
-    PeakNotFoundError,
     SamplingError,
     band_fraction,
     band_power,
     far_field_amplitude,
-    far_field_intensity,
-    first_peak_bounds,
+    first_order_window,
     fringe_field_profile,
-    single_beam_masked_far_field,
     single_beam_strip_far_field,
     two_beam_grid_intensity,
     two_beam_pattern,
@@ -27,9 +25,9 @@ from wiregrid import (
 import wiregrid.diffraction
 from wiregrid.diffraction import (
     _aperture_grid,
-    _masked_amplitudes,
     _single_beam_amplitude,
     _single_beam_theta_grid,
+    _strip_amplitudes,
     _transform,
 )
 
@@ -93,8 +91,8 @@ def test_series_and_direct_branches_agree(reference_config):
 
 def test_first_side_peak_location_via_sweep(reference_config):
     theta = np.linspace(-0.01, 0.01, 40001)
-    pat = DiffractionPattern(theta, two_beam_grid_intensity(theta, reference_config))
-    lo, hi = first_peak_bounds(pat, "positive")
+    intensity = two_beam_grid_intensity(theta, reference_config)
+    lo, hi = first_order_window(reference_config)
     # detector angle is enclosed by the first order
     assert lo < 0.001 < hi
     # order centre sits at lambda/(2 d) within one part in 1e-5
@@ -102,7 +100,7 @@ def test_first_side_peak_location_via_sweep(reference_config):
     # the envelope grows across the order, skewing the sample argmax a few
     # percent outward of the order centre; pin the measured location
     sel = (theta >= lo) & (theta <= hi)
-    argmax = theta[sel][np.argmax(pat.intensity_samples[sel])]
+    argmax = theta[sel][np.argmax(intensity[sel])]
     assert argmax == pytest.approx(0.001033, abs=2e-5)
 
 
@@ -153,14 +151,14 @@ def test_intensity_independent_of_grid_partition(reference_config):
 # ---------------------------------------------------------------------------
 
 def test_fringe_field_dark_at_every_wire_center(reference_config):
-    profile = fringe_field_profile(reference_config, grid_present=False)
+    profile = fringe_field_profile(reference_config)
     for xc in wire_centers(reference_config):
         amp = np.interp(xc, profile.x_samples, profile.amplitude_samples)
         assert abs(amp) < 1e-12
 
 
 def test_fringe_field_quarter_pitch_amplitude(reference_config):
-    profile = fringe_field_profile(reference_config, grid_present=False)
+    profile = fringe_field_profile(reference_config)
     peak = np.max(np.abs(profile.amplitude_samples))
     # linear interpolation between nodes costs ~1e-4 here; the node values
     # themselves carry the exact sinusoid
@@ -173,29 +171,26 @@ def test_fringe_field_quarter_pitch_amplitude(reference_config):
     )
 
 
-def test_masked_profile_zero_on_wire_strips(reference_config):
-    profile = fringe_field_profile(reference_config, grid_present=True)
-    x = profile.x_samples
-    amp = profile.amplitude_samples
+def test_profiles_share_grid_and_add_exactly(reference_config):
+    full = fringe_field_profile(reference_config)
+    complement = wire_strip_complement_profile(reference_config)
+    assert np.array_equal(full.x_samples, complement.x_samples)
+    # the masked field full - complement is zero inside every strip and adds
+    # back to the full field node for node
+    masked = full.amplitude_samples - complement.amplitude_samples
+    x = full.x_samples
     b = reference_config.wire_thickness
     for xc in wire_centers(reference_config):
-        inside = np.abs(x - xc) < b / 2 * 0.999
-        assert np.all(amp[inside] == 0.0)
-    # at least 64 samples across each wire width
-    for xc in wire_centers(reference_config):
-        inside = np.abs(x - xc) <= b / 2
-        assert inside.sum() >= 64
+        assert np.all(masked[np.abs(x - xc) < b / 2 * 0.999] == 0.0)
+        # at least 64 samples across each wire width
+        assert np.count_nonzero(np.abs(x - xc) <= b / 2) >= 64
+    assert np.array_equal(masked + complement.amplitude_samples, full.amplitude_samples)
 
 
-def test_profiles_share_grid_and_add_exactly(reference_config):
-    full = fringe_field_profile(reference_config, grid_present=False)
-    masked = fringe_field_profile(reference_config, grid_present=True)
-    complement = wire_strip_complement_profile(reference_config)
-    assert np.array_equal(full.x_samples, masked.x_samples)
-    assert np.array_equal(full.x_samples, complement.x_samples)
-    assert np.array_equal(
-        masked.amplitude_samples + complement.amplitude_samples, full.amplitude_samples
-    )
+def test_fringe_profile_angle_is_keyword_only(reference_config):
+    # a stale positional grid flag must not be taken as an angle
+    with pytest.raises(TypeError):
+        fringe_field_profile(reference_config, False)
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +222,15 @@ class _OuterRecorder:
 def test_transform_matches_dense_trapezoid(reference_config, monkeypatch, profile):
     # non-even profiles exercise the sine term, the masked ones the dropped
     # zero nodes; 301 angles span two chunks
-    x = fringe_field_profile(reference_config, grid_present=False).x_samples
+    full = fringe_field_profile(reference_config)
+    x = full.x_samples
     d = reference_config.wire_pitch
+    complement = wire_strip_complement_profile(reference_config).amplitude_samples
     amp = {
         "one_sided_sine": np.where(x > 0, np.sin(np.pi * x / d), 0.0),
         "shifted_cosine": np.cos(np.pi * (x - d / 8) / d),
-        "masked": fringe_field_profile(reference_config, grid_present=True).amplitude_samples,
-        "complement": wire_strip_complement_profile(reference_config).amplitude_samples,
+        "masked": full.amplitude_samples - complement,
+        "complement": complement,
         "zero": np.zeros_like(x),
     }[profile]
     q = 2 * math.pi / LAM * np.sin(np.linspace(-2.5e-3, 2.5e-3, 301))
@@ -253,14 +250,13 @@ def test_uniform_aperture_gives_sinc_squared():
     x = np.linspace(-W / 2, W / 2, 4001)
     profile = FieldProfile(x, np.ones_like(x), LAM)
     theta = np.linspace(-1.2e-3, 1.2e-3, 2401)
-    pat = far_field_intensity(profile, theta)
+    inten = np.abs(far_field_amplitude(profile, theta)) ** 2
     kappa = 2 * math.pi / LAM
     analytic = (W * np.sinc(kappa * np.sin(theta) * W / 2 / math.pi)) ** 2
     # composite trapezoid at this sampling is good to ~1e-5 relative
-    assert np.allclose(pat.intensity_samples, analytic, rtol=1e-4, atol=1e-12 * W**2)
+    assert np.allclose(inten, analytic, rtol=1e-4, atol=1e-12 * W**2)
     # first zero at sin(theta) = lambda / W: the local minimum beyond the
     # main lobe sits within a grid step of it
-    inten = pat.intensity_samples
     window = (theta > 0.5 * LAM / W) & (theta < 1.5 * LAM / W)
     idx_min = np.argmin(np.where(window, inten, np.inf))
     assert theta[idx_min] == pytest.approx(LAM / W, abs=2 * (theta[1] - theta[0]))
@@ -268,21 +264,13 @@ def test_uniform_aperture_gives_sinc_squared():
 
 
 def test_even_profile_gives_even_pattern(reference_config):
-    profile = fringe_field_profile(reference_config, grid_present=True)
-    theta = np.linspace(-2.4e-3, 2.4e-3, 961)
-    pat = far_field_intensity(profile, theta)
-    assert np.allclose(pat.intensity_samples, pat.intensity_samples[::-1], rtol=1e-9)
-
-
-def test_babinet_amplitude_linearity(reference_config):
-    theta = np.linspace(-2.5e-3, 2.5e-3, 1251)
-    full = fringe_field_profile(reference_config, grid_present=False)
-    masked = fringe_field_profile(reference_config, grid_present=True)
+    full = fringe_field_profile(reference_config)
     complement = wire_strip_complement_profile(reference_config)
-    a_full = far_field_amplitude(full, theta)
-    a_sum = far_field_amplitude(masked, theta) + far_field_amplitude(complement, theta)
-    peak = np.max(np.abs(a_full))
-    assert np.max(np.abs(a_full - a_sum)) < 1e-10 * peak
+    masked = full.amplitude_samples - complement.amplitude_samples
+    profile = FieldProfile(full.x_samples, masked, LAM)
+    theta = np.linspace(-2.4e-3, 2.4e-3, 961)
+    inten = np.abs(far_field_amplitude(profile, theta)) ** 2
+    assert np.allclose(inten, inten[::-1], rtol=1e-9)
 
 
 @pytest.mark.parametrize("b_um", [8, 16, 32, 64])
@@ -303,7 +291,7 @@ def test_coarse_profile_rejected():
     x = np.linspace(-W / 2, W / 2, 101)  # 25 um spacing
     profile = FieldProfile(x, np.ones_like(x), LAM)
     with pytest.raises(SamplingError, match="8 samples per"):
-        far_field_intensity(profile, np.linspace(-0.02, 0.02, 101))
+        far_field_amplitude(profile, np.linspace(-0.02, 0.02, 101))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +327,7 @@ def test_band_power_warns_on_truncated_range(reference_config):
 
 
 def test_first_peak_area_near_stated_share(reference_config, reference_pattern):
-    lo, hi = first_peak_bounds(reference_pattern, "positive")
+    lo, hi = first_order_window(reference_config)
     frac = band_fraction(reference_config, lo, hi)
     assert frac == pytest.approx(0.00075, rel=0.20)
     # the sampled pattern misses the slowly decaying tail of the total, so its
@@ -348,7 +336,7 @@ def test_first_peak_area_near_stated_share(reference_config, reference_pattern):
 
 
 def test_band_power_grid_refinement(reference_config, reference_pattern):
-    lo, hi = first_peak_bounds(reference_pattern, "positive")
+    lo, hi = first_order_window(reference_config)
     coarse = two_beam_pattern(reference_config, samples_per_lobe=32)
     frac_fine = band_power(reference_pattern, lo, hi)
     frac_coarse = band_power(coarse, lo, hi)
@@ -356,35 +344,41 @@ def test_band_power_grid_refinement(reference_config, reference_pattern):
 
 
 # ---------------------------------------------------------------------------
-# first peak bounds
+# first-order window
 # ---------------------------------------------------------------------------
 
-def test_first_peak_bounds_mirror_symmetric(reference_pattern):
-    lo_p, hi_p = first_peak_bounds(reference_pattern, "positive")
-    lo_n, hi_n = first_peak_bounds(reference_pattern, "negative")
-    step = np.max(np.diff(reference_pattern.theta_samples))
-    assert lo_n == pytest.approx(-hi_p, abs=step)
-    assert hi_n == pytest.approx(-lo_p, abs=step)
-
-
-def test_first_peak_bounds_bracket_detector_angle(reference_pattern):
-    lo, hi = first_peak_bounds(reference_pattern, "positive")
+def test_first_peak_bounds_bracket_detector_angle(reference_config):
+    lo, hi = first_order_window(reference_config)
     assert lo < 0.001 < hi
     # adjacent array-factor nulls sit at 2/3 and 4/3 of the order angle
     assert lo == pytest.approx(0.001 * 2 / 3, rel=1e-2)
     assert hi == pytest.approx(0.001 * 4 / 3, rel=1e-2)
 
 
-def test_monotone_pattern_has_no_peak():
-    theta = np.linspace(-1.0, 1.0, 101)
-    pat = DiffractionPattern(theta, np.exp(theta))
-    with pytest.raises(PeakNotFoundError):
-        first_peak_bounds(pat, "positive")
+@pytest.mark.parametrize("wire_count", [2, 4, 6, 8, 10, 12])
+def test_first_order_window_is_bracketed_by_zeros(reference_config, wire_count):
+    # the beam must hold M pitches; widen it where the reference width does not
+    cfg = reference_config.replace(
+        wire_count=wire_count,
+        beam_side=max(reference_config.beam_side, wire_count * reference_config.wire_pitch),
+    )
+    lo, hi = first_order_window(cfg)
+    assert lo < LAM / (2 * D) < hi
+    peak = np.max(two_beam_grid_intensity(np.linspace(lo, hi, 2001), cfg))
+    assert two_beam_grid_intensity(lo, cfg) <= 1e-20 * peak
+    assert two_beam_grid_intensity(hi, cfg) <= 1e-20 * peak
+    if wire_count == 2:
+        assert lo == 0.0
+    if wire_count == 4:
+        # the first order, not the brighter third order at (2.5, 3.5) mrad
+        assert (lo, hi) == pytest.approx((0.0005, 0.0015), rel=1e-6)
 
 
-def test_bad_side_rejected(reference_pattern):
-    with pytest.raises(ValueError, match="side"):
-        first_peak_bounds(reference_pattern, "sideways")
+def test_first_order_window_past_grazing_rejected(reference_config):
+    # at d = 0.5 um the upper zero would sit at sin(theta) = 1.276
+    cfg = reference_config.replace(wire_pitch=0.5e-6, wire_thickness=0.1e-6, wire_count=2)
+    with pytest.raises(DomainError, match="past sin"):
+        first_order_window(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -421,13 +415,13 @@ def test_intensity_rejects_out_of_range_angle(reference_config):
 # ---------------------------------------------------------------------------
 
 def test_single_beam_lobe_at_half_crossing_angle(reference_config):
-    pat = single_beam_masked_far_field(reference_config)
+    pat = single_beam_strip_far_field(reference_config)
     idx = np.argmax(pat.intensity_samples)
     assert pat.theta_samples[idx] == pytest.approx(0.001, abs=2e-5)
 
 
 def test_single_beam_range_covers_spec(reference_config):
-    pat = single_beam_masked_far_field(reference_config)
+    pat = single_beam_strip_far_field(reference_config)
     span = 5 * LAM / reference_config.wire_thickness
     assert pat.theta_samples[0] <= math.asin(math.sin(0.001) - span) + 1e-9
     assert pat.theta_samples[-1] >= math.asin(math.sin(0.001) + span) - 1e-9
@@ -435,26 +429,27 @@ def test_single_beam_range_covers_spec(reference_config):
 
 @pytest.mark.parametrize("b_um", [32, 64])
 def test_single_beam_closed_form_matches_quadrature(reference_config, b_um):
-    # both closed-form single-beam amplitudes against the trapezoid oracle
-    # over a uniform field on (or off) the strips, on every 32nd angle of the
+    # the closed-form strip amplitude, and the masked beam as the square
+    # aperture W sinc(q W / 2) minus it, against the trapezoid oracle over a
+    # uniform field on (or off) the strips, on every 32nd angle of the
     # single-beam grid; 256 samples per strip hold the oracle's (q h)^2 / 12
     # error below 1e-4 of the peak out to the edge of the span; angles are
     # measured from the beam axis so the untilted oracle applies
     cfg = reference_config.replace(wire_thickness=b_um * 1e-6)
     theta, s0 = _single_beam_theta_grid(cfg, min(5 * LAM / cfg.wire_thickness, 0.2))
     rel = np.arcsin(np.sin(theta[::32]) - s0)
+    q = 2 * math.pi / LAM * np.sin(rel)
     x = _aperture_grid(cfg, cfg.wire_thickness / 256)
-    for keep_strips, public in (
-        (True, single_beam_strip_far_field),
-        (False, single_beam_masked_far_field),
-    ):
-        aperture = FieldProfile(x, _masked_amplitudes(cfg, x, np.ones_like(x), keep_strips), LAM)
-        numeric = far_field_amplitude(aperture, rel)
-        closed = _single_beam_amplitude(cfg, 2 * math.pi / LAM * np.sin(rel), keep_strips)
-        assert np.max(np.abs(numeric - closed)) <= 1e-4 * np.max(np.abs(closed))
-        # the public pattern is this amplitude squared on the full grid
-        intensity = public(cfg).intensity_samples[::32]
-        assert np.max(np.abs(intensity - np.abs(numeric) ** 2)) <= 2e-4 * np.max(intensity)
+    on_strips = _strip_amplitudes(cfg, x, np.ones_like(x))
+    strips = _single_beam_amplitude(cfg, q)
+    masked = cfg.beam_side * np.sinc(q * cfg.beam_side / (2 * math.pi)) - strips
+    numeric = far_field_amplitude(FieldProfile(x, on_strips, LAM), rel)
+    assert np.max(np.abs(numeric - strips)) <= 1e-4 * np.max(np.abs(strips))
+    numeric_masked = far_field_amplitude(FieldProfile(x, 1.0 - on_strips, LAM), rel)
+    assert np.max(np.abs(numeric_masked - masked)) <= 1e-4 * np.max(np.abs(masked))
+    # the public pattern is the strip amplitude squared on the full grid
+    intensity = single_beam_strip_far_field(cfg).intensity_samples[::32]
+    assert np.max(np.abs(intensity - np.abs(numeric) ** 2)) <= 2e-4 * np.max(intensity)
 
 
 def test_nearly_bare_beam_keeps_detector_power(reference_config):
