@@ -13,7 +13,6 @@ from .budget import (
     PhotonBudget,
     SingleBeamBudget,
     absorbed_fraction_quadrature,
-    absorbed_fraction_small_b,
     absorbed_fraction_two_beams,
     band_fraction,
     coverage_fraction,

@@ -153,17 +153,6 @@ def absorbed_fraction_two_beams(config: ExperimentConfig) -> float:
     )
 
 
-def absorbed_fraction_small_b(config: ExperimentConfig) -> float:
-    """Leading cubic law M pi^2 b^3 / (6 d^2 W), for diagnostics."""
-    validate_config(config)
-    return (
-        config.wire_count
-        * math.pi**2
-        * config.wire_thickness**3
-        / (6.0 * config.wire_pitch**2 * config.beam_side)
-    )
-
-
 def absorbed_fraction_quadrature(config: ExperimentConfig, samples_per_strip: int = 4097) -> float:
     """Independent route to the absorbed fraction: composite-Simpson quadrature
     of the squared fringe field over each wire strip at its actual position,
@@ -198,12 +187,17 @@ def _window_integral(intensity, q_lo: float, q_hi: float, config: ExperimentConf
 
 
 def _two_beam_total(config: ExperimentConfig) -> float:
-    """Integral over all q of ``two_beam_grid_intensity``: M pi b^3 / 24.
+    """Integral over all q of ``two_beam_grid_intensity``: pi W x / (4 k^2).
 
-    The intensity is (1/4)|F|^2 for the linear field ramp u across each
-    wire, so by Parseval it integrates to (2 pi / 4) M b^3 / 12.
+    The intensity is |F|^2 / (4 k^2), k = pi / d, for the fringe field on the
+    strips, and by Parseval |F|^2 integrates to 2 pi times the squared field
+    over the strips, which is W x / 2 for the absorbed fraction x.
     """
-    return config.wire_count * math.pi * config.wire_thickness**3 / 24.0
+    k = math.pi / config.wire_pitch
+    x = absorbed_fraction_formula(
+        config.wire_thickness, config.wire_pitch, config.wire_count, config.beam_side
+    )
+    return math.pi * config.beam_side * x / (4.0 * k * k)
 
 
 def _strip_total(config: ExperimentConfig) -> float:
@@ -316,8 +310,8 @@ def crosscheck(config: ExperimentConfig) -> list[Check]:
     * ``absorbed_closed_vs_quadrature``: the closed-form absorbed fraction
       and its Simpson quadrature agree to 1e-10 relative;
     * ``fourier_oracle_vs_closed_form``: the quadrature intensity of the
-      wire-strip complement matches ``two_beam_grid_intensity`` up to a
-      fitted scale, normalised RMS below 1 %;
+      wire-strip complement matches ``two_beam_grid_intensity`` at its fixed
+      scale 4 k^2, k = pi / d, normalised RMS below 1 %;
     * ``fringe_oracle_vs_closed_form``: the quadrature amplitude of the
       unmasked fringe field matches its closed form within 1e-3 of the peak.
 
@@ -347,12 +341,9 @@ def crosscheck(config: ExperimentConfig) -> list[Check]:
     theta = np.linspace(-0.0025, 0.0025, 1501)
     complement = wire_strip_complement_profile(config, max_sin_theta=0.0025)
     numeric = np.abs(far_field_amplitude(complement, theta)) ** 2
-    closed = two_beam_grid_intensity(theta, config)
-    scale = float(np.dot(numeric, closed) / np.dot(closed, closed))
-    nrms = float(
-        np.sqrt(np.mean((numeric - scale * closed) ** 2))
-        / np.sqrt(np.mean((scale * closed) ** 2))
-    )
+    k = math.pi / config.wire_pitch
+    closed = 4.0 * k * k * two_beam_grid_intensity(theta, config)
+    nrms = float(np.sqrt(np.mean((numeric - closed) ** 2)) / np.sqrt(np.mean(closed**2)))
     checks.append(Check("fourier_oracle_vs_closed_form", nrms < 0.01, f"normalized RMS {nrms:.3g}"))
 
     full = fringe_field_profile(config, max_sin_theta=0.0025)

@@ -3,7 +3,8 @@
 Every pattern the analysis uses is evaluated in closed form:
 
 * the grid placed at the dark fringes of two crossed coherent beams
-  (``two_beam_grid_intensity``), with the angular span of its first
+  (``two_beam_grid_intensity``), the transform of the exact fringe field
+  +-sin(k u) on each wire strip, with the angular span of its first
   grating order between the bracketing zeros (``first_order_window``), and
 * the diffracted component of one uniform beam on the grid, a uniform field
   on the wire strips (``single_beam_strip_far_field``).
@@ -12,14 +13,14 @@ A numerical Fourier-integral quadrature over sampled aperture field
 profiles (``far_field_amplitude``) is kept only as an independent oracle
 for those closed forms: ``budget.crosscheck`` transforms the fringe field
 restricted to the wire strips (the Babinet complement of the masked field)
-against the two-beam pattern, and the unmasked fringe field against its own
-closed form (``_fringe_amplitude``).  The sampled patterns
-(``two_beam_pattern``, ``single_beam_strip_far_field``, ``band_power``) feed
-no budget; they remain as references for the tests and the benchmark probe.
+against the two-beam pattern at its fixed scale 4 k^2, and the unmasked
+fringe field against its own closed form (``_fringe_amplitude``).  The
+sampled patterns (``two_beam_pattern``, ``single_beam_strip_far_field``,
+``band_power``) feed no budget; they remain as references for the tests and
+the benchmark probe.
 
-Everything is scalar Fraunhofer on the plane containing the beams; patterns
-carry an arbitrary overall scale, so only ratios of band integrals mean
-anything physically.
+Everything is scalar Fraunhofer on the plane containing the beams; only
+ratios of band integrals mean anything physically.
 """
 
 from __future__ import annotations
@@ -32,12 +33,6 @@ import numpy as np
 
 from .config import ExperimentConfig, validate_config, wire_centers
 from .errors import BandRangeError, DomainError, SamplingError
-
-# Switch the envelope bracket to its power series below this value of
-# (wire_thickness * kappa * sin(theta)); the direct expression loses about
-# half its digits to cancellation there, while three series terms are
-# accurate to ~1e-12 relative up to 0.05.
-_SERIES_THRESHOLD = 0.05
 
 
 @dataclass(frozen=True)
@@ -108,38 +103,37 @@ def _array_factor(v: np.ndarray, wire_count: int) -> np.ndarray:
     return out
 
 
-def _envelope_over_q2(q: np.ndarray, b: float) -> np.ndarray:
-    """{b q cos(b q / 2) - 2 sin(b q / 2)} / q**2, stable through q -> 0.
+def _strip_transform(q: np.ndarray, config: ExperimentConfig) -> np.ndarray:
+    """Transform of sin(k u) / k over one wire, |u| <= b/2, with k = pi / d.
 
-    This is (up to sign and a factor i) the transform of the linear field
-    ramp across one wire; it vanishes like q at the origin, which is why
-    the full pattern has a removable fourth-order zero at theta = 0.
+    On the wire at the dark fringe x_j the fringe field is +-sin(k (x - x_j)),
+    whose transform is -+i k times this real function, odd in q:
+    (b / 2k)[sinc((q-k) b / 2pi) - sinc((q+k) b / 2pi)].  It tends to the
+    transform of the linear ramp u as b -> 0; the normalised ``np.sinc``
+    needs no branch at q = +-k, the centre of the first order.
     """
-    bq = b * q
-    small = bq < _SERIES_THRESHOLD
-    out = np.empty_like(q)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(bq * np.cos(bq / 2.0) - 2.0 * np.sin(bq / 2.0), q * q, out=out)
-    qs = q[small]
-    bqs = bq[small]
-    out[small] = -(b**3 * qs / 12.0) * (1.0 - bqs**2 / 40.0 + bqs**4 / 4480.0)
-    return out
+    b = config.wire_thickness
+    k = math.pi / config.wire_pitch
+    to_sinc = b / (2.0 * math.pi)
+    return (b / (2.0 * k)) * (np.sinc((q - k) * to_sinc) - np.sinc((q + k) * to_sinc))
 
 
 def _grid_intensity(q: np.ndarray, config: ExperimentConfig) -> np.ndarray:
     """Two-beam grid intensity at non-negative q = kappa sin(theta)."""
     v = q * (config.wire_pitch / 2.0)
-    amp = _envelope_over_q2(q, config.wire_thickness) * _array_factor(v, config.wire_count)
+    amp = _strip_transform(q, config) * _array_factor(v, config.wire_count)
     return amp * amp
 
 
 def two_beam_grid_intensity(theta, config: ExperimentConfig):
     """Relative far-field intensity of the wire grid lit by both beams.
 
-    Closed form: I(theta) = [E(q)/q^2 * A(q d / 2)]^2 with q = kappa sin(theta),
-    E the single-wire bracket of ``_envelope_over_q2`` and A the alternating
-    array factor.  Even in theta by construction (evaluated on |sin theta|)
-    and exactly zero at theta = 0.
+    Closed form: I(theta) = [T(q) A(q d / 2)]^2 with q = kappa sin(theta),
+    T the transform of the fringe field on one wire over k = pi / d
+    (``_strip_transform``) and A the alternating array factor.  The
+    complement field on the strips transforms to 2 k T A, so I is
+    |F|^2 / (4 k^2).  Even in theta by construction (evaluated on
+    |sin theta|) and exactly zero at theta = 0.
     """
     validate_config(config)
     theta_arr = np.asarray(theta, dtype=float)

@@ -60,32 +60,36 @@ def test_evenness_exact(theta, reference_config):
 
 
 def test_quartic_behaviour_near_origin(reference_config):
-    # series-evaluated value at 1e-9 rad extrapolates the direct formula at
-    # 1e-6 rad as C * theta^4 within 1 %
-    c_direct = two_beam_grid_intensity(1e-6, reference_config) / 1e-6**4
-    c_series = two_beam_grid_intensity(1e-9, reference_config) / 1e-9**4
-    assert c_series == pytest.approx(c_direct, rel=0.01)
+    # the strip transform and the array factor each vanish like theta, so the
+    # value at 1e-9 rad extrapolates the one at 1e-6 rad as C * theta^4
+    # within 1 %
+    c_far = two_beam_grid_intensity(1e-6, reference_config) / 1e-6**4
+    c_near = two_beam_grid_intensity(1e-9, reference_config) / 1e-9**4
+    assert c_near == pytest.approx(c_far, rel=0.01)
 
 
-def test_series_and_direct_branches_agree(reference_config):
-    # straddle the switchover at b*kappa*sin(theta) = 0.05 and compare both
-    # branches against an extended-precision transcription of the formula
-    kappa = 2 * math.pi / LAM
-    b = reference_config.wire_thickness
-    theta_switch = 0.05 / (kappa * b)
+def test_closed_form_matches_extended_precision(reference_config):
+    # a long-double transcription of [T(q) A(q d / 2)]^2, near the origin
+    # where the two sinc terms nearly cancel, at the far edge, and at and
+    # within 1e-9 and 1e-3 of the removable point q = k, the first-order centre
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    b = np.longdouble(reference_config.wire_thickness)
+    k = pi / np.longdouble(D)
 
     def reference(theta):
-        q = np.longdouble(kappa) * np.sin(np.longdouble(theta))
-        bq = np.longdouble(b) * q
-        env = (bq * np.cos(bq / 2) - 2 * np.sin(bq / 2)) / q**2
+        q = 2 * pi / np.longdouble(LAM) * np.sin(np.longdouble(theta))
+        lower = b / 2 if q == k else np.sin((q - k) * b / 2) / (q - k)
+        strip = (lower - np.sin((q + k) * b / 2) / (q + k)) / k
         v = q * np.longdouble(D) / 2
         af = np.sin(v) - np.sin(3 * v) + np.sin(5 * v)
-        return float((env * af) ** 2)
+        return float((strip * af) ** 2)
 
-    for factor in (0.9, 0.99, 1.01, 1.1):
-        th = theta_switch * factor
-        assert two_beam_grid_intensity(th, reference_config) == pytest.approx(
-            reference(th), rel=1e-9
+    order = math.asin(LAM / (2 * D))
+    for theta in (1e-6, 1e-4, 5e-3) + tuple(
+        order * f for f in (1, 1 - 1e-9, 1 + 1e-9, 1 - 1e-3, 1 + 1e-3)
+    ):
+        assert two_beam_grid_intensity(theta, reference_config) == pytest.approx(
+            reference(theta), rel=1e-9, abs=0
         )
 
 
@@ -106,17 +110,19 @@ def test_first_side_peak_location_via_sweep(reference_config):
 
 def test_generalized_wire_count_reduces_to_stated_bracket(reference_config):
     # M = 6 array factor must equal sin(v) - sin(3v) + sin(5v) squared times
-    # the envelope; compare against a literal transcription
+    # the strip transform of sin(k u) / k; compare against a literal
+    # transcription
     kappa = 2 * math.pi / LAM
+    k = math.pi / D
     theta = np.linspace(1e-4, 9e-3, 997)
     q = kappa * np.sin(theta)
     v = q * D / 2
     b = reference_config.wire_thickness
-    bracket = (b * q * np.cos(b * q / 2) - 2 * np.sin(b * q / 2)) ** 2
+    strip = (np.sin((q - k) * b / 2) / (q - k) - np.sin((q + k) * b / 2) / (q + k)) / k
     array = (np.sin(v) - np.sin(3 * v) + np.sin(5 * v)) ** 2
-    literal = bracket * array / q**4
+    literal = strip**2 * array
     ours = two_beam_grid_intensity(theta, reference_config)
-    assert np.allclose(ours, literal, rtol=1e-9)
+    assert np.allclose(ours, literal, rtol=1e-9, atol=0)
 
 
 @pytest.mark.parametrize("wire_count", [2, 4])
@@ -127,11 +133,9 @@ def test_other_even_wire_counts_against_oracle(reference_config, wire_count):
     theta = np.linspace(-0.006, 0.006, 1201)
     complement = wire_strip_complement_profile(cfg, max_sin_theta=0.007)
     numeric = np.abs(far_field_amplitude(complement, theta)) ** 2
-    closed = two_beam_grid_intensity(theta, cfg)
-    scale = np.dot(numeric, closed) / np.dot(closed, closed)
-    nrms = np.sqrt(np.mean((numeric - scale * closed) ** 2)) / np.sqrt(
-        np.mean((scale * closed) ** 2)
-    )
+    # the complement's |F|^2 is the pattern at its fixed scale 4 k^2, k = pi / d
+    closed = 4 * (math.pi / cfg.wire_pitch) ** 2 * two_beam_grid_intensity(theta, cfg)
+    nrms = np.sqrt(np.mean((numeric - closed) ** 2)) / np.sqrt(np.mean(closed**2))
     assert nrms < 0.01
 
 
@@ -279,11 +283,9 @@ def test_oracle_reproduces_closed_form(reference_config, b_um):
     theta = np.linspace(-0.01, 0.01, 1601)
     complement = wire_strip_complement_profile(cfg, max_sin_theta=0.011)
     numeric = np.abs(far_field_amplitude(complement, theta)) ** 2
-    closed = two_beam_grid_intensity(theta, cfg)
-    scale = np.dot(numeric, closed) / np.dot(closed, closed)
-    nrms = np.sqrt(np.mean((numeric - scale * closed) ** 2)) / np.sqrt(
-        np.mean((scale * closed) ** 2)
-    )
+    # the complement's |F|^2 is the pattern at its fixed scale 4 k^2, k = pi / d
+    closed = 4 * (math.pi / cfg.wire_pitch) ** 2 * two_beam_grid_intensity(theta, cfg)
+    nrms = np.sqrt(np.mean((numeric - closed) ** 2)) / np.sqrt(np.mean(closed**2))
     assert nrms < 0.01
 
 
