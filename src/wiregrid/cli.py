@@ -203,7 +203,10 @@ def _cmd_pattern(request: RunRequest, config: ExperimentConfig, out) -> int:
         emit_report(
             {
                 "config": _config_echo(config),
-                "scale_note": "relative intensity; overall scale arbitrary",
+                "scale_note": (
+                    "|F|^2 / (4 k^2), F the far field of the fringe field on the wire "
+                    "strips, k = pi / wire_pitch"
+                ),
                 "pattern": {
                     "theta_rad": [float(t) for t in theta],
                     "intensity_rel": [float(v) for v in intensity],

@@ -15,7 +15,10 @@ for those closed forms: ``budget.crosscheck`` transforms the fringe field
 restricted to the wire strips (the Babinet complement of the masked field)
 against the two-beam pattern at its fixed scale 4 k^2, and the unmasked
 fringe field against its own closed form (``_fringe_amplitude``).  The
-sampled patterns (``two_beam_pattern``, ``single_beam_strip_far_field``,
+oracle builds one cos/sin kernel per distinct |q| (the amplitudes are real,
+so F(-q) = conj F(q)) over each profile's support, and takes the unmasked
+field as complement + masked, which the trapezoid rule sums node by node.
+The sampled patterns (``two_beam_pattern``, ``single_beam_strip_far_field``,
 ``band_power``) feed no budget; they remain as references for the tests and
 the benchmark probe.
 
@@ -294,20 +297,25 @@ def _transform(x: np.ndarray, amp: np.ndarray, q: np.ndarray, chunk: int = 256) 
 
     The trapezoid weights are folded into the amplitude once and nodes whose
     weighted amplitude is zero (masked parts of the aperture) are dropped, so
-    the kernel spans only the profile's support.  The complex exponential is
-    split into real cosine and sine products; chunks of ``chunk`` angles
-    bound the kernel's memory.
+    the kernel spans only the profile's support.  The amplitude is real, so
+    F(-q) = conj F(q): the kernel is built once per distinct |q| and each
+    q < 0 takes the conjugate, which halves the work on a grid that negates
+    bit-exactly (``symmetric_grid``).  The complex exponential is split into
+    real cosine and sine products; chunks of ``chunk`` rows bound the
+    kernel's memory.
     """
     dx = np.diff(x)
     weights = np.concatenate(([dx[0]], dx[:-1] + dx[1:], [dx[-1]])) / 2.0
     wa = weights * amp
     support = wa != 0.0
     xs, wa = x[support], wa[support]
-    out = np.empty(q.shape, dtype=complex)
-    for i in range(0, len(q), chunk):
-        phase = np.outer(q[i : i + chunk], xs)
-        out[i : i + chunk] = np.cos(phase) @ wa - 1j * (np.sin(phase) @ wa)
-    return out
+    magnitude, mirror = np.unique(np.abs(q), return_inverse=True)
+    rows = np.empty(magnitude.shape, dtype=complex)
+    for i in range(0, len(magnitude), chunk):
+        phase = np.outer(magnitude[i : i + chunk], xs)
+        rows[i : i + chunk] = np.cos(phase) @ wa - 1j * (np.sin(phase) @ wa)
+    out = rows[mirror]
+    return np.where(q < 0, out.conj(), out)
 
 
 def _check_sampling(profile: FieldProfile, max_abs_sin: float) -> None:

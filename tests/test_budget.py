@@ -320,6 +320,8 @@ def test_crosscheck_passes_on_reference(reference_config):
     checks = crosscheck(reference_config)
     assert [c.name for c in checks] == CROSSCHECK_ROWS
     assert all(c.passed for c in checks), checks
+    # Python bools, so JSON prints true rather than a numpy float's 1.0
+    assert all(type(c.passed) is bool for c in checks)
 
 
 def test_crosscheck_reports_a_bad_config_as_its_only_row():

@@ -138,6 +138,11 @@ def test_pattern_json_includes_config_echo(tmp_path):
     data = json.loads(text)
     assert data["config"]["wavelength"] == pytest.approx(638e-9)
     assert len(data["pattern"]["theta_rad"]) == 4001
+    # the scale is fixed, and validate's oracle row checks it without fitting
+    assert data["scale_note"] == (
+        "|F|^2 / (4 k^2), F the far field of the fringe field on the wire strips, "
+        "k = pi / wire_pitch"
+    )
 
 
 def test_budget_json_sections(tmp_path):
@@ -251,7 +256,8 @@ def test_validate_passes_on_defaults(tmp_path, capsys):
     assert "fringe_oracle_vs_closed_form" in names
     assert "absorbed_closed_vs_quadrature" in names
     assert names == [c.name for c in crosscheck(ExperimentConfig())]
-    assert all(c["passed"] for c in data["checks"])
+    assert all(c["passed"] is True for c in data["checks"])
+    assert text.count('"passed": true') == len(names)
 
 
 def test_validate_fringe_mismatch_is_exit_2(tmp_path):

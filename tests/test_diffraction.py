@@ -13,10 +13,12 @@ from wiregrid import (
     SamplingError,
     band_fraction,
     band_power,
+    crosscheck,
     far_field_amplitude,
     first_order_window,
     fringe_field_profile,
     single_beam_strip_far_field,
+    symmetric_grid,
     two_beam_grid_intensity,
     two_beam_pattern,
     wire_centers,
@@ -225,7 +227,7 @@ class _OuterRecorder:
 )
 def test_transform_matches_dense_trapezoid(reference_config, monkeypatch, profile):
     # non-even profiles exercise the sine term, the masked ones the dropped
-    # zero nodes; 301 angles span two chunks
+    # zero nodes; the distinct |q| of 301 angles span two chunks
     full = fringe_field_profile(reference_config)
     x = full.x_samples
     d = reference_config.wire_pitch
@@ -240,14 +242,58 @@ def test_transform_matches_dense_trapezoid(reference_config, monkeypatch, profil
     q = 2 * math.pi / LAM * np.sin(np.linspace(-2.5e-3, 2.5e-3, 301))
     recorder = _OuterRecorder()
     monkeypatch.setattr(wiregrid.diffraction, "np", recorder)
-    got = _transform(x, amp, q)
+    got = _transform(x, amp, q, chunk=128)
     monkeypatch.undo()
     want = _dense_transform(x, amp, q)
     assert got.dtype == complex and got.shape == q.shape
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    # the kernel spans the profile's support only
+    # the kernel spans the profile's support only, one row per distinct |q|
     assert all(nodes == np.count_nonzero(amp) for _, nodes in recorder.shapes)
-    assert sum(angles for angles, _ in recorder.shapes) == q.size
+    rows = np.unique(np.abs(q)).size
+    assert len(recorder.shapes) == 2
+    assert sum(angles for angles, _ in recorder.shapes) == rows
+
+
+@pytest.mark.parametrize("case", ["asymmetric", "zero_and_repeats", "symmetric_grid"])
+def test_mirrored_transform_matches_dense_trapezoid(reference_config, monkeypatch, case):
+    # a profile with no parity has a real and an imaginary part, so each
+    # q < 0 must take the conjugate of its |q| row, not a copy of it
+    x = fringe_field_profile(reference_config).x_samples
+    amp = np.where(x > -0.3e-3, np.cos(np.pi * (x - 45e-6) / D), 0.0)
+    grid = symmetric_grid(2.5e-3, 101)
+    theta = {
+        "asymmetric": np.linspace(-1.3e-3, 2.5e-3, 241),
+        "zero_and_repeats": np.concatenate([grid[::-1], [0.0, -0.0], grid[40:70], grid[::7]]),
+        "symmetric_grid": symmetric_grid(2.5e-3, 301),
+    }[case]
+    q = 2 * math.pi / LAM * np.sin(theta)
+    recorder = _OuterRecorder()
+    monkeypatch.setattr(wiregrid.diffraction, "np", recorder)
+    got = _transform(x, amp, q)
+    monkeypatch.undo()
+    want = _dense_transform(x, amp, q)
+    assert np.max(np.abs(want.imag)) > 0.1 * np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert sum(angles for angles, _ in recorder.shapes) == np.unique(np.abs(q)).size
+    if case == "symmetric_grid":
+        # the grid negates bit-exactly, so the kernel has one row per pair
+        assert sum(angles for angles, _ in recorder.shapes) == 151
+
+
+def test_crosscheck_kernel_cost(reference_config, monkeypatch):
+    # the validate oracle builds one kernel row per distinct |q| of its 1501
+    # angles and spans the support of the complement (774 nodes) and of the
+    # masked remainder (531), never the full 1293-node aperture
+    recorder = _OuterRecorder()
+    monkeypatch.setattr(wiregrid.diffraction, "np", recorder)
+    checks = crosscheck(reference_config)
+    monkeypatch.undo()
+    assert all(c.passed for c in checks)
+    rows_by_nodes = {}
+    for angles, nodes in recorder.shapes:
+        rows_by_nodes[nodes] = rows_by_nodes.get(nodes, 0) + angles
+    assert sum(rows_by_nodes) <= 774 + 531
+    assert all(rows <= 751 for rows in rows_by_nodes.values())
 
 
 def test_uniform_aperture_gives_sinc_squared():
