@@ -307,7 +307,10 @@ def crosscheck(config: ExperimentConfig) -> list[Check]:
     Rows, in order, each with its pass condition:
 
     * ``config_invariants``: ``validate_config`` accepts the config; if it
-      does not, this failing row is the only one;
+      does not, this failing row is the only one.  ``wiregrid validate``
+      never prints it: the CLI rejects an invalid config while loading it,
+      before any check runs, so the row appears only when the library
+      calls ``crosscheck`` directly;
     * ``fringe_pitch_match``: the fringe spacing lies within 1 % of the pitch;
     * ``absorbed_closed_vs_quadrature``: the closed-form absorbed fraction
       and its Simpson quadrature agree to 1e-10 relative;

@@ -11,6 +11,7 @@ untouched, bounded below by 1 - 2x.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,7 +61,7 @@ def visibility_from_intensities(inputs: VisibilityInputs) -> float:
 
 def _require(ok, values, message: str) -> None:
     """Raise DomainError naming the first of ``values`` where ``ok`` is false."""
-    if not np.all(ok):
+    if not np.asarray(ok).all():
         bad = np.broadcast_to(values, np.shape(ok))[np.logical_not(ok)][0]
         raise DomainError(f"{message}, got {float(bad)!r}")
 
@@ -103,7 +104,7 @@ def visibility_lower_bound(absorbed, covered):
     i_max = (1.0 - x) / (1.0 - y)
     i_min = x / y
     over = i_min > i_max
-    if np.any(over):
+    if over.any():
         xb, yb = (np.broadcast_to(a, over.shape)[over][0] for a in (x, y))
         raise DomainError(
             f"absorbed fraction x={xb:g} exceeds the uniform share for y={yb:g}; "
@@ -182,12 +183,12 @@ def grid_metrics(config: ExperimentConfig) -> ComplementarityReport:
     return fraction_report(absorbed_fraction_two_beams(config), coverage_fraction(config))
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One wire thickness in a sweep; bound columns are lower bounds.
 
     ``classical_whichway_lower`` and the classical sum are None past the
-    half-absorption point, with the reason in ``note``.
+    half-absorption point, with the reason in ``note``.  A named tuple, so
+    ``row._asdict()`` gives the columns as a dict in field order.
     """
 
     wire_thickness: float
@@ -209,11 +210,12 @@ def sweep_thickness(config: ExperimentConfig, b_values) -> list[SweepRow]:
     ``b_values`` must be sorted ascending and lie strictly inside
     (0, wire_pitch); rows where the absorbed fraction exceeds 1/2 are
     marked out-of-domain instead of raising.  Every column is computed in
-    one elementwise pass over the whole range.
+    one elementwise pass over the whole range, and the rows are built in
+    one pass over the columns' Python values.
     """
     validate_config(config)
     b = np.fromiter(b_values, dtype=float)
-    if np.any(b[1:] <= b[:-1]):
+    if (b[1:] <= b[:-1]).any():
         raise ValueError("b_values must be sorted strictly ascending")
     if not b.size or b[0] <= 0 or b[-1] >= config.wire_pitch:
         raise ValueError(
@@ -231,21 +233,7 @@ def sweep_thickness(config: ExperimentConfig, b_values) -> list[SweepRow]:
     k = np.full_like(x, np.nan)
     k[in_domain] = classical_whichway(x[in_domain])
     v_sq, k_sq = v * v, k * k
-    columns = (b, x, y, v, v_sq, k, k_sq, k_sq + v_sq, in_domain)
-    note = "absorbed fraction exceeds 1/2; classical bound undefined"
-    return [
-        SweepRow(
-            wire_thickness=bi,
-            absorbed=xi,
-            covered=yi,
-            visibility_lower=vi,
-            visibility_sq=vi_sq,
-            quantum_sum=vi_sq,
-            classical_whichway_lower=ki if ok else None,
-            classical_sq=ki_sq if ok else None,
-            classical_sum=sum_i if ok else None,
-            in_domain=ok,
-            note="" if ok else note,
-        )
-        for bi, xi, yi, vi, vi_sq, ki, ki_sq, sum_i, ok in zip(*(c.tolist() for c in columns))
-    ]
+    classical = (np.where(in_domain, c, None) for c in (k, k_sq, k_sq + v_sq))
+    note = np.where(in_domain, "", "absorbed fraction exceeds 1/2; classical bound undefined")
+    columns = (b, x, y, v, v_sq, v_sq, *classical, in_domain, note)
+    return list(map(SweepRow._make, zip(*(c.tolist() for c in columns))))

@@ -172,7 +172,10 @@ def symmetric_grid(half_range: float, n: int) -> np.ndarray:
 
     Built as (i - (n-1)/2) * step so sample i and sample n-1-i are exact
     negations; evenness checks on sampled patterns then hold to the bit.
+    ``half_range`` must be positive and finite.
     """
+    if not 0.0 < half_range < math.inf:
+        raise ValueError(f"half_range must be positive and finite, got {half_range!r}")
     if n < 2:
         raise ValueError("need at least 2 samples")
     step = 2.0 * half_range / (n - 1)

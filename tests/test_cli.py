@@ -320,6 +320,31 @@ def test_non_finite_sweep_thickness_is_exit_1(tmp_path, capsys):
     assert err["error"]["message"].endswith("got nan")
 
 
+@pytest.mark.parametrize("theta_range", ["0", "-1", "nan"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_degenerate_theta_range_is_exit_2(capsys, theta_range, fmt):
+    rc = main(["pattern", "--theta-range", theta_range, "--format", fmt])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"]["type"] == "ValueError"
+    assert "half_range must be positive and finite" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_validate_rejects_invalid_config_before_any_check(capsys, fmt):
+    # the CLI validates the config while loading it, so crosscheck's failing
+    # config_invariants row is reachable only from the library
+    rc = main(["validate", "--override", "wire_count=5", "--format", fmt])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"]["type"] == "ConfigError"
+    assert err["error"]["exit_code"] == 1
+
+
 def test_io_error_is_exit_3(capsys):
     rc = main(["metrics", "--out", "/nonexistent-dir/foo.json"])
     assert rc == 3

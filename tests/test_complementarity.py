@@ -7,6 +7,7 @@ from wiregrid import (
     ConfigError,
     DomainError,
     ExperimentConfig,
+    SweepRow,
     VisibilityInputs,
     absorbed_fraction_two_beams,
     classical_whichway,
@@ -21,6 +22,7 @@ from wiregrid import (
     visibility_lower_bound,
     worst_case_intensity_pair,
 )
+from wiregrid import cli
 from wiregrid.budget import absorbed_fraction_formula
 
 BENCH_X = 0.001240
@@ -298,6 +300,46 @@ def test_elementwise_bounds_name_the_first_bad_value():
     assert classical_whichway(xs[:1]).tolist() == [1.0 - 2.0 * 0.1]
     with pytest.raises(DomainError, match="x=0.5 exceeds the uniform share for y=0.1"):
         visibility_lower_bound(np.array([0.01, 0.5]), np.array([0.1, 0.1]))
+
+
+# the field order of the frozen dataclass that SweepRow replaced
+SWEEP_ROW_FIELDS = (
+    "wire_thickness",
+    "absorbed",
+    "covered",
+    "visibility_lower",
+    "visibility_sq",
+    "quantum_sum",
+    "classical_whichway_lower",
+    "classical_sq",
+    "classical_sum",
+    "in_domain",
+    "note",
+)
+
+
+def test_sweep_row_fields_cover_the_cli_columns():
+    assert set(SweepRow._fields) == {"wire_thickness", *cli._SWEEP_COLUMNS}
+    assert SweepRow._field_defaults == {"note": ""}
+
+
+def test_sweep_rows_are_immutable_named_tuples():
+    rows = sweep_thickness(OUT_OF_DOMAIN_CONFIG, [100e-6, 290e-6])
+    inside, outside = rows
+    assert tuple(inside._asdict()) == SWEEP_ROW_FIELDS
+    with pytest.raises(AttributeError):
+        inside.visibility_lower = 1.0
+    assert inside.in_domain is True and inside.note == ""
+    assert outside.in_domain is False
+    assert (outside.classical_whichway_lower, outside.classical_sq, outside.classical_sum) == (
+        None, None, None,
+    )
+    assert "1/2" in outside.note
+    for row in rows:
+        for name, value in row._asdict().items():
+            allowed = (str,) if name == "note" else (float, bool, type(None))
+            assert type(value) in allowed, name
+        assert all(type(v) is float for v in row[:6])
 
 
 def test_sweep_rejects_non_finite_thickness(reference_config):

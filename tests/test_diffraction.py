@@ -280,6 +280,12 @@ def test_mirrored_transform_matches_dense_trapezoid(reference_config, monkeypatc
         assert sum(angles for angles, _ in recorder.shapes) == 151
 
 
+@pytest.mark.parametrize("half_range", [0.0, -1e-3, math.nan, math.inf])
+def test_symmetric_grid_rejects_degenerate_range(half_range):
+    with pytest.raises(ValueError, match="half_range must be positive and finite"):
+        symmetric_grid(half_range, 11)
+
+
 def test_crosscheck_kernel_cost(reference_config, monkeypatch):
     # the validate oracle builds one kernel row per distinct |q| of its 1501
     # angles and spans the support of the complement (774 nodes) and of the
