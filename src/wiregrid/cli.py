@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -299,6 +300,9 @@ def _cmd_sweep(request: RunRequest, config: ExperimentConfig, out) -> int:
     steps = request.options.get("steps", 150)
     if steps < 1:
         raise DomainError("steps must be at least 1")
+    for b in (b_min, b_max):  # before np.linspace spreads a nan or inf over the grid
+        if not math.isfinite(b):
+            raise ConfigError(f"wire_thickness must be a positive finite length, got {b!r}")
     rows = sweep_thickness(config, np.linspace(b_min, b_max, steps))
     header = ["wire_thickness_um", *_SWEEP_COLUMNS]
     table = [

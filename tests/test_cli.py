@@ -1,10 +1,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wiregrid
 from wiregrid import DEFAULTS, ExperimentConfig, crosscheck, first_order_window
 from wiregrid.cli import apply_overrides, main, parse_config
 from wiregrid.errors import ConfigParseError
@@ -320,6 +326,23 @@ def test_non_finite_sweep_thickness_is_exit_1(tmp_path, capsys):
     assert err["error"]["message"].endswith("got nan")
 
 
+@pytest.mark.parametrize("bound", [("--b-max", "inf"), ("--b-min", "nan")])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_sweep_bound_is_exit_1_before_the_grid(capsys, bound, fmt):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["sweep", *bound, "--format", fmt])
+    assert rc == 1
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"]["type"] == "ConfigError"
+    assert err["error"]["message"] == (
+        f"wire_thickness must be a positive finite length, got {bound[1]}"
+    )
+
+
 @pytest.mark.parametrize("theta_range", ["0", "-1", "nan"])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_degenerate_theta_range_is_exit_2(capsys, theta_range, fmt):
@@ -350,3 +373,36 @@ def test_io_error_is_exit_3(capsys):
     assert rc == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] in ("FileNotFoundError", "OSError", "PermissionError")
+
+
+# ---------------------------------------------------------------------------
+# import floor
+# ---------------------------------------------------------------------------
+
+# The standard-library modules ``import wiregrid.cli`` may load beyond those
+# numpy already loads; every CLI run pays for each one at start-up.
+CLI_STDLIB_MODULES = {
+    "__future__", "_csv", "_json", "argparse", "copy", "csv", "dataclasses",
+    "gettext", "json", "json.decoder", "json.encoder", "json.scanner",
+}
+
+
+def test_cli_import_loads_no_module_beyond_its_floor():
+    code = (
+        "import json, sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import wiregrid.cli\n"
+        "print(json.dumps({'before': sorted(before), 'after': sorted(sys.modules)}))\n"
+    )
+    src = str(Path(wiregrid.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    loaded = json.loads(out)
+    before, after = set(loaded["before"]), set(loaded["after"])
+    assert "concurrent.futures" not in after
+    # sample_fates' threads come from a module numpy has already loaded
+    assert "threading" in before
+    added = {m for m in after - before if m != "wiregrid" and not m.startswith("wiregrid.")}
+    assert added <= CLI_STDLIB_MODULES, sorted(added - CLI_STDLIB_MODULES)

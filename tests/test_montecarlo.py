@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -7,12 +9,13 @@ from wiregrid import (
     DomainError,
     FateCounts,
     estimate_metrics,
+    montecarlo,
     photon_uniforms,
     sample_fates,
     visibility_lower_bound,
 )
 from wiregrid.budget import PhotonBudget
-from wiregrid.montecarlo import _philox2x32_10, _photon_words, _word_threshold
+from wiregrid.montecarlo import _philox2x32_10, _photon_words, _tally_span, _word_threshold
 
 
 def make_budget(x=0.0012401415665121626, f_det=0.0016144048753482427):
@@ -285,6 +288,96 @@ def test_nonpositive_n_rejected():
 def test_nonpositive_chunk_size_rejected(chunk_size):
     with pytest.raises(ValueError, match="chunk_size"):
         sample_fates(make_budget(), 100, 0, chunk_size=chunk_size)
+
+
+# ---------------------------------------------------------------------------
+# contiguous chunk spans on threads
+# ---------------------------------------------------------------------------
+
+SPLIT_N = 100_001
+
+
+@pytest.mark.parametrize("budget_name", ["reference", "zero-probability-fate"])
+@pytest.mark.parametrize(
+    "n,chunk_size",
+    [(SPLIT_N, 977), (SPLIT_N, 2**15), (SPLIT_N, SPLIT_N - 1), (5_000, 2**15)],
+)
+@pytest.mark.parametrize("cores", [1, 2, 3, 7])
+def test_counts_do_not_depend_on_core_count(monkeypatch, budget_name, n, chunk_size, cores):
+    monkeypatch.setattr(montecarlo, "_usable_cores", lambda: cores)
+    budget = TALLY_BUDGETS[budget_name]()
+    assert sample_fates(budget, n, 7, chunk_size=chunk_size) == reference_fates(budget, n, 7)
+
+
+def test_counts_survive_rapid_thread_switching(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 7)
+    budget = TALLY_BUDGETS["zero-probability-fate"]()
+    expected = reference_fates(budget, SPLIT_N, 11)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        tallies = [sample_fates(budget, SPLIT_N, 11, chunk_size=977) for _ in range(5)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert tallies == [expected] * 5
+
+
+@pytest.mark.parametrize(
+    "n,chunk_size,cores,spans",
+    [
+        (SPLIT_N, 977, 3, 3),
+        (SPLIT_N, 977, 7, 7),
+        (8 * 977, 977, 7, 2),  # at least four chunks per span
+        (SPLIT_N, 2**15, 7, 1),  # four chunks, one of them short
+        (SPLIT_N, SPLIT_N, 2, 1),
+    ],
+)
+def test_spans_are_contiguous_chunk_runs_one_per_thread(monkeypatch, n, chunk_size, cores, spans):
+    monkeypatch.setattr(montecarlo, "_usable_cores", lambda: cores)
+    calls = []
+
+    def record(seed, thresholds, begin, end, size):
+        calls.append((begin, end, threading.current_thread()))
+        return [0] * len(thresholds)
+
+    monkeypatch.setattr(montecarlo, "_tally_span", record)
+    # the stub counts nothing, so every photon lands in the last fate
+    sample_fates(make_budget(), n, 7, chunk_size=chunk_size)
+    calls.sort(key=lambda call: call[0])
+    assert len(calls) == spans
+    assert calls[0][0] == 0 and calls[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(calls, calls[1:]))
+    assert all(begin % chunk_size == 0 and begin < end for begin, end, _ in calls)
+    # span 0 runs on the calling thread, every other span on its own thread
+    assert calls[0][2] is threading.current_thread()
+    assert len({id(thread) for _, _, thread in calls}) == spans
+
+
+class SpanFailure(Exception):
+    pass
+
+
+def test_error_in_a_worker_span_is_raised_by_the_caller(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 3)
+    tally = montecarlo._tally_span
+
+    def fail_after_zero(seed, thresholds, begin, end, size):
+        if begin > 0:
+            raise SpanFailure(f"span at {begin}")
+        return tally(seed, thresholds, begin, end, size)
+
+    monkeypatch.setattr(montecarlo, "_tally_span", fail_after_zero)
+    with pytest.raises(SpanFailure, match="span at"):
+        sample_fates(make_budget(), SPLIT_N, 7, chunk_size=977)
+
+
+@pytest.mark.parametrize("begin,end", [(2**32 - 40_000, 2**32 + 30_000), (2**64 - 70_000, 2**64)])
+@pytest.mark.parametrize("chunk_size", [977, 2**15])
+def test_span_tally_matches_words_across_counter_edges(begin, end, chunk_size):
+    thresholds = [None, np.uint64(0), np.uint64(2**63), np.uint64(2**64 - 2**11)]
+    word = _photon_words(3_764_114_740, begin, end - begin)
+    expected = [end - begin, 0, *(int(np.count_nonzero(word < t)) for t in thresholds[2:])]
+    assert _tally_span(3_764_114_740, thresholds, begin, end, chunk_size) == expected
 
 
 # ---------------------------------------------------------------------------
