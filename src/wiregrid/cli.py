@@ -27,7 +27,7 @@ from .budget import (
     two_beam_budget,
 )
 from .complementarity import fraction_report, sweep_thickness, worst_case_intensity_pair
-from .config import DEFAULTS, ExperimentConfig, derive_geometry, validate_config
+from .config import COUNT_FIELDS, DEFAULTS, LENGTH_FIELDS, ExperimentConfig, derive_geometry
 from .diffraction import detector_windows, symmetric_grid, two_beam_grid_intensity
 from .errors import ConfigError, ConfigParseError, DomainError, WiregridError
 from .montecarlo import estimate_metrics, sample_fates
@@ -35,10 +35,6 @@ from .scenarios import truth_table
 
 LENGTH_UNITS = {"nm": 1e-9, "um": 1e-6, "mm": 1e-3, "m": 1.0}
 ANGLE_UNITS = {"rad": 1.0, "mrad": 1e-3}
-
-_LENGTH_KEYS = ("wavelength", "wire_thickness", "wire_pitch", "beam_side")
-_ANGLE_KEYS = ("crossing_angle", "detector_half_width")
-_COUNT_KEYS = ("wire_count", "photon_count")
 
 _VALUE_RE = re.compile(r"^([+-]?[0-9.]+(?:[eE][+-]?[0-9]+)?)\s*([A-Za-z]*)$")
 
@@ -61,16 +57,16 @@ def _parse_value(key: str, raw: str, line: int | None = None) -> float | int:
     if not m:
         raise ConfigParseError(f"cannot parse value {raw!r} for {key}", line)
     number, unit = m.group(1), m.group(2)
-    if key in _COUNT_KEYS:
+    if key in COUNT_FIELDS:
         if unit:
             raise ConfigParseError(f"{key} takes a bare integer, got unit {unit!r}", line)
         try:
             return int(number)
         except ValueError:
             raise ConfigParseError(f"{key} must be an integer, got {number!r}", line) from None
-    units = LENGTH_UNITS if key in _LENGTH_KEYS else ANGLE_UNITS
+    units = LENGTH_UNITS if key in LENGTH_FIELDS else ANGLE_UNITS
     if unit not in units:
-        kind = "length" if key in _LENGTH_KEYS else "angle"
+        kind = "length" if key in LENGTH_FIELDS else "angle"
         problem = "missing" if not unit else f"unknown {kind}"
         raise ConfigParseError(
             f"{problem} unit {unit!r} for {key} "
@@ -105,11 +101,11 @@ def parse_config(text: str) -> ExperimentConfig:
         if key in values:
             raise ConfigParseError(f"duplicate key {key!r}", lineno)
         values[key] = _parse_value(key, value, lineno)
-    return validate_config(ExperimentConfig(**values))
+    return ExperimentConfig(**values)
 
 
 def apply_overrides(config: ExperimentConfig, overrides: list[str]) -> ExperimentConfig:
-    """Apply ``key=value`` overrides after file parsing, then revalidate."""
+    """Apply ``key=value`` overrides after file parsing; ``replace`` checks the result."""
     changes: dict = {}
     for item in overrides:
         if "=" not in item:
@@ -119,7 +115,7 @@ def apply_overrides(config: ExperimentConfig, overrides: list[str]) -> Experimen
         if key not in DEFAULTS:
             raise ConfigParseError(f"unknown override key {key!r}")
         changes[key] = _parse_value(key, value)
-    return validate_config(config.replace(**changes))
+    return config.replace(**changes)
 
 
 def load_config(request: RunRequest) -> ExperimentConfig:
@@ -127,7 +123,7 @@ def load_config(request: RunRequest) -> ExperimentConfig:
         with open(request.config_path, encoding="utf-8") as fh:
             config = parse_config(fh.read())
     else:
-        config = validate_config(ExperimentConfig())
+        config = ExperimentConfig()
     return apply_overrides(config, request.overrides)
 
 
@@ -393,16 +389,25 @@ _COMMANDS = {
 
 
 def run(request: RunRequest) -> int:
-    """Execute a request, writing the artifact to its output destination."""
+    """Execute a request, then write the artifact to its output destination.
+
+    The command writes into a buffer that reaches stdout or the file only
+    after it returns, so a command that raises leaves an existing file as
+    it was.
+    """
     if request.subcommand not in _COMMANDS:
         raise ConfigParseError(f"unknown subcommand {request.subcommand!r}")
     if request.output_format not in ("csv", "json"):
         raise ConfigParseError(f"unknown output format {request.output_format!r}")
     config = load_config(request)
+    buffer = io.StringIO()
+    code = _COMMANDS[request.subcommand](request, config, buffer)
     if request.output_path == "-":
-        return _COMMANDS[request.subcommand](request, config, sys.stdout)
-    with open(request.output_path, "w", encoding="utf-8", newline="") as fh:
-        return _COMMANDS[request.subcommand](request, config, fh)
+        sys.stdout.write(buffer.getvalue())
+    else:
+        with open(request.output_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(buffer.getvalue())
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

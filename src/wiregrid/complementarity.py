@@ -21,7 +21,7 @@ from .budget import (
     absorbed_fraction_two_beams,
     coverage_fraction,
 )
-from .config import ExperimentConfig, validate_config
+from .config import ExperimentConfig
 from .errors import ConfigError, DomainError
 
 
@@ -213,7 +213,6 @@ def sweep_thickness(config: ExperimentConfig, b_values) -> list[SweepRow]:
     one elementwise pass over the whole range, and the rows are built in
     one pass over the columns' Python values.
     """
-    validate_config(config)
     b = np.fromiter(b_values, dtype=float)
     if (b[1:] <= b[:-1]).any():
         raise ValueError("b_values must be sorted strictly ascending")

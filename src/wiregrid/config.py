@@ -1,29 +1,25 @@
 """Experiment configuration and derived geometry.
 
-All lengths are stored in metres and all angles in radians.  A validated
-``ExperimentConfig`` is immutable and safe to share between threads; every
-other module in the package accepts only validated configurations.
+All lengths are stored in metres and all angles in radians.  An
+``ExperimentConfig`` is checked once, when it is built (``replace``
+included), so every instance satisfies the invariants of
+``validate_config``: the other modules take a config as valid and do not
+check it again.  It is immutable and safe to share between threads.
+
+This module is the one place that knows each field's default and kind
+(length, angle or count).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from .errors import ConfigError
 
-# Reference desk-scale setup: 638 nm light, six 32 um wires at 319 um pitch
-# placed where two 2.55 mm square beams cross at 2 mrad.
-DEFAULTS = dict(
-    wavelength=638e-9,
-    wire_thickness=32e-6,
-    wire_pitch=319e-6,
-    wire_count=6,
-    beam_side=2.55e-3,
-    crossing_angle=0.002,
-    detector_half_width=0.0005,
-    photon_count=1_000_000,
-)
+LENGTH_FIELDS = ("wavelength", "wire_thickness", "wire_pitch", "beam_side")
+ANGLE_FIELDS = ("crossing_angle", "detector_half_width")
+COUNT_FIELDS = ("wire_count", "photon_count")
 
 # Small-angle scalar treatment breaks down well before this.
 MAX_CROSSING_ANGLE = 0.1
@@ -55,20 +51,29 @@ class ExperimentConfig:
         Photons per source arm used for count-based reporting.
     """
 
-    wavelength: float = DEFAULTS["wavelength"]
-    wire_thickness: float = DEFAULTS["wire_thickness"]
-    wire_pitch: float = DEFAULTS["wire_pitch"]
-    wire_count: int = DEFAULTS["wire_count"]
-    beam_side: float = DEFAULTS["beam_side"]
-    crossing_angle: float = DEFAULTS["crossing_angle"]
-    detector_half_width: float = DEFAULTS["detector_half_width"]
-    photon_count: int = DEFAULTS["photon_count"]
+    # Reference desk-scale setup: 638 nm light, six 32 um wires at 319 um
+    # pitch placed where two 2.55 mm square beams cross at 2 mrad.
+    wavelength: float = 638e-9
+    wire_thickness: float = 32e-6
+    wire_pitch: float = 319e-6
+    wire_count: int = 6
+    beam_side: float = 2.55e-3
+    crossing_angle: float = 0.002
+    detector_half_width: float = 0.0005
+    photon_count: int = 1_000_000
+
+    def __post_init__(self):
+        validate_config(self)
 
     def replace(self, **changes) -> "ExperimentConfig":
         return replace(self, **changes)
 
     def as_dict(self) -> dict:
         return asdict(self)
+
+
+# The reference defaults by field name, in field order.
+DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
 @dataclass(frozen=True)
@@ -91,22 +96,14 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     """Check every invariant, returning the config unchanged if all hold.
 
     Raises ConfigError naming the offending field and bound otherwise.
+    ``ExperimentConfig`` runs this when it is built, so calling it on a
+    config again always returns the config.
     """
-    positive_lengths = (
-        ("wavelength", config.wavelength),
-        ("wire_thickness", config.wire_thickness),
-        ("wire_pitch", config.wire_pitch),
-        ("beam_side", config.beam_side),
-    )
-    for name, value in positive_lengths:
-        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-            raise ConfigError(f"{name} must be a positive finite length, got {value!r}")
-    for name, value in (
-        ("crossing_angle", config.crossing_angle),
-        ("detector_half_width", config.detector_half_width),
-    ):
-        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-            raise ConfigError(f"{name} must be a positive finite angle, got {value!r}")
+    for kind, names in (("length", LENGTH_FIELDS), ("angle", ANGLE_FIELDS)):
+        for name in names:
+            value = getattr(config, name)
+            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be a positive finite {kind}, got {value!r}")
     if not isinstance(config.wire_count, int) or config.wire_count < 2:
         raise ConfigError(f"wire_count must be an integer >= 2, got {config.wire_count!r}")
     if config.wire_count % 2 != 0:
@@ -143,7 +140,6 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
 
 def derive_geometry(config: ExperimentConfig) -> DerivedGeometry:
     """Compute wavenumber, fringe spacing, detector angles and beam area."""
-    validate_config(config)
     wavenumber = 2.0 * math.pi / config.wavelength
     fringe_spacing = config.wavelength / (2.0 * math.sin(config.crossing_angle / 2.0))
     half = config.crossing_angle / 2.0

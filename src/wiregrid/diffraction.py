@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig, validate_config, wire_centers
+from .config import ExperimentConfig, wire_centers
 from .errors import BandRangeError, DomainError, SamplingError
 
 
@@ -138,7 +138,6 @@ def two_beam_grid_intensity(theta, config: ExperimentConfig):
     |F|^2 / (4 k^2).  Even in theta by construction (evaluated on
     |sin theta|) and exactly zero at theta = 0.
     """
-    validate_config(config)
     theta_arr = np.asarray(theta, dtype=float)
     if np.any(np.abs(theta_arr) >= np.pi / 2):
         raise ValueError("theta must satisfy |theta| < pi/2")
@@ -158,7 +157,6 @@ def first_order_window(config: ExperimentConfig) -> tuple[float, float]:
     the lower zero is theta = 0.  Raises DomainError when the upper zero
     lies beyond grazing angle.
     """
-    validate_config(config)
     centre = config.wavelength / (2.0 * config.wire_pitch)
     spread = 2.0 / config.wire_count
     upper = centre * (1.0 + spread)
@@ -182,20 +180,14 @@ def symmetric_grid(half_range: float, n: int) -> np.ndarray:
     return (np.arange(n) - (n - 1) / 2.0) * step
 
 
-def two_beam_pattern(
-    config: ExperimentConfig,
-    sin_theta_max: float | None = None,
-    samples_per_lobe: int = 64,
-) -> DiffractionPattern:
+def two_beam_pattern(config: ExperimentConfig, samples_per_lobe: int = 64) -> DiffractionPattern:
     """Sample the closed-form pattern densely over its full power range.
 
-    The default range covers sin(theta) in +-20*lambda/b (clipped below 1),
-    which holds all but ~1.5 % of the diffracted power for the reference-scale
+    The range covers sin(theta) in +-20*lambda/b (clipped below 1), which
+    holds all but ~1.5 % of the diffracted power for the reference-scale
     geometry; the remainder sits in the slowly decaying 1/theta^2 edge tail.
     """
-    validate_config(config)
-    if sin_theta_max is None:
-        sin_theta_max = min(20.0 * config.wavelength / config.wire_thickness, 0.999)
+    sin_theta_max = min(20.0 * config.wavelength / config.wire_thickness, 0.999)
     lobe = config.wavelength / (config.wire_count * config.wire_pitch)
     n = samples_per_lobe * int(np.ceil(2.0 * sin_theta_max / lobe)) + 1
     theta = np.arcsin(symmetric_grid(sin_theta_max, n))
@@ -272,7 +264,6 @@ def fringe_field_profile(config: ExperimentConfig, *, max_sin_theta: float = 0.0
     ``max_sin_theta`` sets the gap sampling so the profile supports far-field
     evaluation out to that angle (10 samples per integrand oscillation).
     """
-    validate_config(config)
     d = config.wire_pitch
     x = _aperture_grid(config, min(config.wavelength / (10.0 * max_sin_theta), d / 64.0))
     return FieldProfile(x, np.cos(np.pi * x / d), config.wavelength)
@@ -448,7 +439,6 @@ def single_beam_strip_far_field(config: ExperimentConfig) -> DiffractionPattern:
     at 0.2) around the beam axis.  This is the Babinet complement of the beam
     with the strips blacked out.
     """
-    validate_config(config)
     span = min(5.0 * config.wavelength / config.wire_thickness, 0.2)
     theta, s0 = _single_beam_theta_grid(config, span)
     q = (2.0 * math.pi / config.wavelength) * (np.sin(theta) - s0)

@@ -18,7 +18,7 @@ from .complementarity import (
     fraction_report,
     quantum_whichway,
 )
-from .config import ExperimentConfig, validate_config
+from .config import ExperimentConfig
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,6 @@ def evaluate_scenario(scenario: Scenario, config: ExperimentConfig) -> ScenarioR
     splitter: one detector goes silent, so V = 1 is measured, and the
     merged paths leave no way to extrapolate, K' = 0.
     """
-    validate_config(config)
     k_quantum = quantum_whichway()
     if scenario.grid:
         x = absorbed_fraction_two_beams(config)

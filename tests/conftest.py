@@ -5,13 +5,12 @@ from wiregrid import (
     single_beam_budget,
     two_beam_budget,
     two_beam_pattern,
-    validate_config,
 )
 
 
 @pytest.fixture(scope="session")
 def reference_config():
-    return validate_config(ExperimentConfig())
+    return ExperimentConfig()
 
 
 @pytest.fixture(scope="session")

@@ -124,11 +124,10 @@ def test_detector_capture_vanishes_with_window(reference_config):
     assert f_narrow < 1e-5
 
 
-def test_detector_capture_full_window_is_total(reference_config, reference_pattern):
-    # window covering the whole sampled pattern on both sides
+def test_detector_capture_full_window_is_total(reference_pattern):
+    # one window covering the whole sampled pattern would need crossing_angle
+    # 0, which no config can hold; emulate totality with band_power directly
     hi = reference_pattern.theta_samples[-1]
-    wide = reference_config.replace(crossing_angle=0.0, detector_half_width=float(hi))
-    # crossing_angle 0 is invalid; emulate totality with band_power directly
     from wiregrid import band_power
 
     assert band_power(reference_pattern, -hi, hi) == pytest.approx(1.0, rel=1e-12)
@@ -322,12 +321,6 @@ def test_crosscheck_passes_on_reference(reference_config):
     assert all(c.passed for c in checks), checks
     # Python bools, so JSON prints true rather than a numpy float's 1.0
     assert all(type(c.passed) is bool for c in checks)
-
-
-def test_crosscheck_reports_a_bad_config_as_its_only_row():
-    checks = crosscheck(ExperimentConfig(wire_count=5))
-    assert [(c.name, c.passed) for c in checks] == [("config_invariants", False)]
-    assert "even" in checks[0].detail
 
 
 def _fringe_amplitude_k_off_by_one_percent(config, q):

@@ -357,8 +357,8 @@ def test_degenerate_theta_range_is_exit_2(capsys, theta_range, fmt):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_validate_rejects_invalid_config_before_any_check(capsys, fmt):
-    # the CLI validates the config while loading it, so crosscheck's failing
-    # config_invariants row is reachable only from the library
+    # a config is checked when it is built, while the CLI loads it, so no
+    # check runs and no row is printed
     rc = main(["validate", "--override", "wire_count=5", "--format", fmt])
     assert rc == 1
     captured = capsys.readouterr()
@@ -366,6 +366,33 @@ def test_validate_rejects_invalid_config_before_any_check(capsys, fmt):
     err = json.loads(captured.err)
     assert err["error"]["type"] == "ConfigError"
     assert err["error"]["exit_code"] == 1
+
+
+@pytest.mark.parametrize(
+    "failing", [("sweep", "--b-max", "400"), ("pattern", "--theta-range", "2000")]
+)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_failing_command_leaves_the_out_file_unchanged(tmp_path, capsys, failing, fmt):
+    out = tmp_path / f"f.{fmt}"
+    out.write_text("an earlier result\n")
+    rc = main([*failing, "--format", fmt, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == "an earlier result\n"
+
+
+@pytest.mark.parametrize(
+    "command", ["pattern", "budget", "metrics", "sweep", "simulate", "scenario", "validate"]
+)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, command, fmt):
+    assert main([command, "--format", fmt]) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / f"out.{fmt}"
+    out.write_text("a longer earlier result\n" * 10_000)
+    assert main([command, "--format", fmt, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout.encode()
 
 
 def test_io_error_is_exit_3(capsys):

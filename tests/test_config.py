@@ -18,14 +18,13 @@ def test_reference_config_accepted(reference_config):
 
 
 def test_wires_touching_rejected():
-    cfg = ExperimentConfig(wire_thickness=319e-6, wire_pitch=319e-6)
     with pytest.raises(ConfigError, match="must not touch"):
-        validate_config(cfg)
+        ExperimentConfig(wire_thickness=319e-6, wire_pitch=319e-6)
 
 
 def test_odd_wire_count_rejected():
     with pytest.raises(ConfigError, match="even"):
-        validate_config(ExperimentConfig(wire_count=9))
+        ExperimentConfig(wire_count=9)
 
 
 @pytest.mark.parametrize(
@@ -44,12 +43,19 @@ def test_odd_wire_count_rejected():
 )
 def test_each_invariant_has_its_own_error(field, value, match):
     with pytest.raises(ConfigError, match=match):
-        validate_config(ExperimentConfig(**{field: value}))
+        ExperimentConfig(**{field: value})
 
 
 def test_grid_must_fit_inside_beam():
     with pytest.raises(ConfigError, match="grid does not fit"):
-        validate_config(ExperimentConfig(wire_count=10, wire_pitch=319e-6, beam_side=2.55e-3))
+        ExperimentConfig(wire_count=10, wire_pitch=319e-6, beam_side=2.55e-3)
+
+
+def test_replace_checks_the_new_config(reference_config):
+    with pytest.raises(ConfigError, match="overlap"):
+        reference_config.replace(detector_half_width=0.001)
+    with pytest.raises(ConfigError, match="grid does not fit"):
+        reference_config.replace(wire_count=10)
 
 
 def test_derived_geometry_reference_values(reference_config):

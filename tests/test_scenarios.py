@@ -64,12 +64,10 @@ def test_truth_table_order(reference_config):
 def test_grid_scenario_propagates_domain_errors():
     # wires wide enough to absorb over half of one arm exhaust the classical
     # which-way bound; the scenario surfaces that instead of masking it
-    from wiregrid import DomainError, ExperimentConfig, validate_config
+    from wiregrid import DomainError, ExperimentConfig
 
-    cfg = validate_config(
-        ExperimentConfig(
-            wire_pitch=300e-6, wire_count=2, beam_side=0.72e-3, wire_thickness=290e-6
-        )
+    cfg = ExperimentConfig(
+        wire_pitch=300e-6, wire_count=2, beam_side=0.72e-3, wire_thickness=290e-6
     )
     with pytest.raises(DomainError, match="1/2"):
         evaluate_scenario(GRID, cfg)
