@@ -1,5 +1,8 @@
 """Command-line surface: config parsing, dispatch, CSV/JSON emission.
 
+Each subcommand computes a ``Report`` from the config and its options;
+``run`` alone picks the format, emits the report and writes it.
+
 Exit codes: 0 success, 1 configuration or parse error, 2 numeric/domain
 error, 3 I/O error.  Errors are written to stderr as a one-line JSON
 object so scripted callers can branch on them.
@@ -27,7 +30,9 @@ from .budget import (
     two_beam_budget,
 )
 from .complementarity import fraction_report, sweep_thickness, worst_case_intensity_pair
-from .config import COUNT_FIELDS, DEFAULTS, LENGTH_FIELDS, ExperimentConfig, derive_geometry
+from .config import (
+    COUNT_FIELDS, DEFAULTS, LENGTH_FIELDS, ExperimentConfig, derive_geometry, positive_finite_error,
+)
 from .diffraction import detector_windows, symmetric_grid, two_beam_grid_intensity
 from .errors import ConfigError, ConfigParseError, DomainError, WiregridError
 from .montecarlo import estimate_metrics, sample_fates
@@ -120,8 +125,13 @@ def apply_overrides(config: ExperimentConfig, overrides: list[str]) -> Experimen
 
 def load_config(request: RunRequest) -> ExperimentConfig:
     if request.config_path:
-        with open(request.config_path, encoding="utf-8") as fh:
-            config = parse_config(fh.read())
+        try:
+            with open(request.config_path, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            where = f"{exc.reason} at offset {exc.start}"
+            raise ConfigParseError(f"config file is not UTF-8 text ({where})") from None
+        config = parse_config(text)
     else:
         config = ExperimentConfig()
     return apply_overrides(config, request.overrides)
@@ -130,6 +140,17 @@ def load_config(request: RunRequest) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # emission
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Report:
+    """A subcommand's result before a format is chosen: the JSON ``sections``,
+    the CSV ``table`` as ``(header, rows)`` (None: CSV flattens the sections)
+    and the exit code."""
+
+    sections: dict
+    table: tuple[list[str], list] | None = None
+    exit_code: int = 0
+
 
 def _fmt(value) -> str:
     if isinstance(value, bool):
@@ -171,62 +192,39 @@ def emit_report(sections: dict, fmt: str, out: io.TextIOBase) -> None:
         out.write("\n")
 
 
-def _emit_table(
-    config: ExperimentConfig, key: str, header: list[str], table: list[list], fmt: str, out
-) -> None:
-    """JSON ``{config, <key>: [row objects]}``, or the table as CSV rows."""
-    if fmt == "json":
-        emit_report(
-            {"config": _config_echo(config), key: [dict(zip(header, r)) for r in table]},
-            "json",
-            out,
-        )
-    else:
-        emit_rows(header, table, out)
+def _table_report(config: ExperimentConfig, key: str, header: list[str], table: list) -> Report:
+    """JSON ``{config, <key>: [row objects]}``; CSV the table itself."""
+    rows = [dict(zip(header, r)) for r in table]
+    return Report({"config": _config_echo(config), key: rows}, (header, table))
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_pattern(request: RunRequest, config: ExperimentConfig, out) -> int:
-    half_range_mrad = request.options.get("theta_range", 10.0)
-    samples = request.options.get("samples", 4001)
+def _cmd_pattern(config: ExperimentConfig, theta_range=10.0, samples=4001) -> Report:
     if samples < 3:
         raise DomainError("samples must be at least 3")
-    theta = symmetric_grid(half_range_mrad * 1e-3, samples)
-    intensity = two_beam_grid_intensity(theta, config)
-    if request.output_format == "json":
-        emit_report(
-            {
-                "config": _config_echo(config),
-                "scale_note": (
-                    "|F|^2 / (4 k^2), F the far field of the fringe field on the wire "
-                    "strips, k = pi / wire_pitch"
-                ),
-                "pattern": {
-                    "theta_rad": [float(t) for t in theta],
-                    "intensity_rel": [float(v) for v in intensity],
-                },
-            },
-            "json",
-            out,
-        )
-    else:
-        emit_rows(
-            ["theta_rad", "intensity_rel"],
-            [[float(t), float(v)] for t, v in zip(theta, intensity)],
-            out,
-        )
-    return 0
+    theta = symmetric_grid(theta_range * 1e-3, samples)
+    theta_rad = theta.tolist()
+    intensity_rel = two_beam_grid_intensity(theta, config).tolist()
+    sections = {
+        "config": _config_echo(config),
+        "scale_note": (
+            "|F|^2 / (4 k^2), F the far field of the fringe field on the wire "
+            "strips, k = pi / wire_pitch"
+        ),
+        "pattern": {"theta_rad": theta_rad, "intensity_rel": intensity_rel},
+    }
+    return Report(sections, (["theta_rad", "intensity_rel"], list(zip(theta_rad, intensity_rel))))
 
 
-def _cmd_budget(request: RunRequest, config: ExperimentConfig, out) -> int:
+def _cmd_budget(config: ExperimentConfig) -> Report:
     two = two_beam_budget(config)
     single = single_beam_budget(config)
     windows = detector_windows(config)
     n = config.photon_count
-    sections = {
+    return Report({
         "config": _config_echo(config),
         "detector_windows_rad": {
             "negative": list(windows[0]),
@@ -254,25 +252,21 @@ def _cmd_budget(request: RunRequest, config: ExperimentConfig, out) -> int:
             "own_detector_decrease": single.own_detector_decrease * n,
             "wrong_detector": single.wrong_detector * n,
         },
-    }
-    emit_report(sections, request.output_format, out)
-    return 0
+    })
 
 
-def _cmd_metrics(request: RunRequest, config: ExperimentConfig, out) -> int:
+def _cmd_metrics(config: ExperimentConfig) -> Report:
     x = absorbed_fraction_two_beams(config)
     y = coverage_fraction(config)
     report = fraction_report(x, y)
     area_mm2 = (config.beam_side * 1e3) ** 2
     pair = worst_case_intensity_pair(x, y, config.photon_count, area_mm2)
-    sections = {
+    return Report({
         "config": _config_echo(config),
         "fractions": {"absorbed": x, "covered": y},
         "worst_case_intensities_per_mm2": {"i_min": pair.i_min, "i_max": pair.i_max},
         "report": report.as_dict(),
-    }
-    emit_report(sections, request.output_format, out)
-    return 0
+    })
 
 
 # SweepRow fields in table order, after the thickness in um
@@ -290,38 +284,31 @@ _SWEEP_COLUMNS = (
 )
 
 
-def _cmd_sweep(request: RunRequest, config: ExperimentConfig, out) -> int:
-    b_min = request.options.get("b_min", 1.0) * 1e-6
-    b_max = request.options.get("b_max", 150.0) * 1e-6
-    steps = request.options.get("steps", 150)
+def _cmd_sweep(config: ExperimentConfig, b_min=1.0, b_max=150.0, steps=150) -> Report:
     if steps < 1:
         raise DomainError("steps must be at least 1")
     for b in (b_min, b_max):  # before np.linspace spreads a nan or inf over the grid
         if not math.isfinite(b):
-            raise ConfigError(f"wire_thickness must be a positive finite length, got {b!r}")
-    rows = sweep_thickness(config, np.linspace(b_min, b_max, steps))
+            raise positive_finite_error("wire_thickness", b)
+    rows = sweep_thickness(config, np.linspace(b_min * 1e-6, b_max * 1e-6, steps))
     header = ["wire_thickness_um", *_SWEEP_COLUMNS]
     table = [
         [row.wire_thickness * 1e6, *(getattr(row, c) for c in _SWEEP_COLUMNS)] for row in rows
     ]
-    _emit_table(config, "sweep", header, table, request.output_format, out)
-    return 0
+    return _table_report(config, "sweep", header, table)
 
 
-def _cmd_simulate(request: RunRequest, config: ExperimentConfig, out) -> int:
-    seed = request.options.get("seed", 0)
+def _cmd_simulate(config: ExperimentConfig, seed=0) -> Report:
     counts = sample_fates(two_beam_budget(config), config.photon_count, seed)
     metrics = estimate_metrics(counts, config)
-    sections = {
+    return Report({
         "config": _config_echo(config),
         "counts": counts.as_dict(),
         "estimates": metrics.as_dict(),
-    }
-    emit_report(sections, request.output_format, out)
-    return 0
+    })
 
 
-def _cmd_scenario(request: RunRequest, config: ExperimentConfig, out) -> int:
+def _cmd_scenario(config: ExperimentConfig) -> Report:
     labels = ("bare_beams", "wire_grid", "output_splitter")
     header = [
         "scenario",
@@ -351,30 +338,18 @@ def _cmd_scenario(request: RunRequest, config: ExperimentConfig, out) -> int:
                 sr.rationale,
             ]
         )
-    _emit_table(config, "scenarios", header, table, request.output_format, out)
-    return 0
+    return _table_report(config, "scenarios", header, table)
 
 
-def _cmd_validate(request: RunRequest, config: ExperimentConfig, out) -> int:
+def _cmd_validate(config: ExperimentConfig) -> Report:
     checks = crosscheck(config)
-    if request.output_format == "json":
-        emit_report(
-            {
-                "config": _config_echo(config),
-                "checks": [
-                    {"check": c.name, "passed": c.passed, "detail": c.detail} for c in checks
-                ],
-            },
-            "json",
-            out,
-        )
-    else:
-        emit_rows(
-            ["check", "status", "detail"],
-            [[c.name, "pass" if c.passed else "FAIL", c.detail] for c in checks],
-            out,
-        )
-    return 0 if all(c.passed for c in checks) else 2
+    rows = [{"check": c.name, "passed": c.passed, "detail": c.detail} for c in checks]
+    table = [[c.name, "pass" if c.passed else "FAIL", c.detail] for c in checks]
+    return Report(
+        {"config": _config_echo(config), "checks": rows},
+        (["check", "status", "detail"], table),
+        0 if all(c.passed for c in checks) else 2,
+    )
 
 
 _COMMANDS = {
@@ -389,25 +364,28 @@ _COMMANDS = {
 
 
 def run(request: RunRequest) -> int:
-    """Execute a request, then write the artifact to its output destination.
+    """Build the request's ``Report``, then emit and write it: the one writer.
 
-    The command writes into a buffer that reaches stdout or the file only
-    after it returns, so a command that raises leaves an existing file as
-    it was.
+    Nothing reaches stdout or the file until the command has returned, so a
+    command that raises leaves an existing file as it was.
     """
     if request.subcommand not in _COMMANDS:
         raise ConfigParseError(f"unknown subcommand {request.subcommand!r}")
     if request.output_format not in ("csv", "json"):
         raise ConfigParseError(f"unknown output format {request.output_format!r}")
     config = load_config(request)
+    report = _COMMANDS[request.subcommand](config, **request.options)
     buffer = io.StringIO()
-    code = _COMMANDS[request.subcommand](request, config, buffer)
+    if request.output_format == "csv" and report.table is not None:
+        emit_rows(*report.table, buffer)
+    else:
+        emit_report(report.sections, request.output_format, buffer)
     if request.output_path == "-":
         sys.stdout.write(buffer.getvalue())
     else:
         with open(request.output_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(buffer.getvalue())
-    return code
+    return report.exit_code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -437,33 +415,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
     p = sub.add_parser("pattern", parents=[common], help="two-beam diffraction pattern rows")
-    p.add_argument("--theta-range", type=float, default=10.0, metavar="MRAD",
+    p.add_argument("--theta-range", type=float, default=argparse.SUPPRESS, metavar="MRAD",
                    help="half-range of the angular grid in mrad")
-    p.add_argument("--samples", type=int, default=4001, help="number of angular samples")
+    p.add_argument("--samples", type=int, default=argparse.SUPPRESS,
+                   help="number of angular samples")
     sub.add_parser("budget", parents=[common], help="photon-fate budgets and counts")
     sub.add_parser("metrics", parents=[common], help="visibility and which-way report")
     p = sub.add_parser("sweep", parents=[common], help="wire-thickness sweep table")
-    p.add_argument("--b-min", type=float, default=1.0, metavar="UM")
-    p.add_argument("--b-max", type=float, default=150.0, metavar="UM")
-    p.add_argument("--steps", type=int, default=150)
+    p.add_argument("--b-min", type=float, default=argparse.SUPPRESS, metavar="UM")
+    p.add_argument("--b-max", type=float, default=argparse.SUPPRESS, metavar="UM")
+    p.add_argument("--steps", type=int, default=argparse.SUPPRESS)
     p = sub.add_parser("simulate", parents=[common], help="seeded Monte Carlo run")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     sub.add_parser("scenario", parents=[common], help="scenario truth table")
     sub.add_parser("validate", parents=[common], help="config check and cross-validation suite")
     return parser
 
 
 def _request_from_args(args: argparse.Namespace) -> RunRequest:
-    options = {}
-    for name in ("theta_range", "samples", "b_min", "b_max", "steps", "seed"):
-        if hasattr(args, name):
-            options[name] = getattr(args, name)
+    """The common options; whatever else the user gave goes to the subcommand."""
+    options = dict(vars(args))
     return RunRequest(
-        subcommand=args.subcommand,
-        config_path=args.config,
-        output_format=args.format,
-        output_path=args.out,
-        overrides=list(args.override),
+        subcommand=options.pop("subcommand"),
+        config_path=options.pop("config"),
+        output_format=options.pop("format"),
+        output_path=options.pop("out"),
+        overrides=options.pop("override"),
         options=options,
     )
 

@@ -21,8 +21,8 @@ from .budget import (
     absorbed_fraction_two_beams,
     coverage_fraction,
 )
-from .config import ExperimentConfig
-from .errors import ConfigError, DomainError
+from .config import ExperimentConfig, positive_finite_error
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -222,9 +222,7 @@ def sweep_thickness(config: ExperimentConfig, b_values) -> list[SweepRow]:
         )
     finite = np.isfinite(b)
     if not finite.all():
-        raise ConfigError(
-            f"wire_thickness must be a positive finite length, got {float(b[~finite][0])!r}"
-        )
+        raise positive_finite_error("wire_thickness", float(b[~finite][0]))
     x = absorbed_fraction_formula(b, config.wire_pitch, config.wire_count, config.beam_side)
     y = _coverage_formula(b, config.wire_count, config.beam_side)
     v = visibility_lower_bound(x, y)
@@ -234,5 +232,5 @@ def sweep_thickness(config: ExperimentConfig, b_values) -> list[SweepRow]:
     v_sq, k_sq = v * v, k * k
     classical = (np.where(in_domain, c, None) for c in (k, k_sq, k_sq + v_sq))
     note = np.where(in_domain, "", "absorbed fraction exceeds 1/2; classical bound undefined")
-    columns = (b, x, y, v, v_sq, v_sq, *classical, in_domain, note)
+    columns = (b, x, y, v, v_sq, quantum_whichway() ** 2 + v_sq, *classical, in_domain, note)
     return list(map(SweepRow._make, zip(*(c.tolist() for c in columns))))

@@ -85,11 +85,14 @@ class DerivedGeometry:
     wires at dark-fringe centres spaced by the pitch.
     """
 
-    wavenumber: float
     fringe_spacing: float
-    detector_angles: tuple[float, float]
-    beam_area: float
     fringe_consistency: float
+
+
+def positive_finite_error(name: str, value) -> ConfigError:
+    """The error for a length or angle field that is not positive and finite."""
+    kind = "length" if name in LENGTH_FIELDS else "angle"
+    return ConfigError(f"{name} must be a positive finite {kind}, got {value!r}")
 
 
 def validate_config(config: ExperimentConfig) -> ExperimentConfig:
@@ -99,11 +102,10 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     ``ExperimentConfig`` runs this when it is built, so calling it on a
     config again always returns the config.
     """
-    for kind, names in (("length", LENGTH_FIELDS), ("angle", ANGLE_FIELDS)):
-        for name in names:
-            value = getattr(config, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be a positive finite {kind}, got {value!r}")
+    for name in (*LENGTH_FIELDS, *ANGLE_FIELDS):
+        value = getattr(config, name)
+        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            raise positive_finite_error(name, value)
     if not isinstance(config.wire_count, int) or config.wire_count < 2:
         raise ConfigError(f"wire_count must be an integer >= 2, got {config.wire_count!r}")
     if config.wire_count % 2 != 0:
@@ -139,15 +141,10 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
 
 
 def derive_geometry(config: ExperimentConfig) -> DerivedGeometry:
-    """Compute wavenumber, fringe spacing, detector angles and beam area."""
-    wavenumber = 2.0 * math.pi / config.wavelength
+    """Compute the fringe spacing and its mismatch with the wire pitch."""
     fringe_spacing = config.wavelength / (2.0 * math.sin(config.crossing_angle / 2.0))
-    half = config.crossing_angle / 2.0
     return DerivedGeometry(
-        wavenumber=wavenumber,
         fringe_spacing=fringe_spacing,
-        detector_angles=(-half, +half),
-        beam_area=config.beam_side**2,
         fringe_consistency=abs(fringe_spacing - config.wire_pitch) / config.wire_pitch,
     )
 

@@ -27,26 +27,24 @@ class Scenario:
 
     The wire grid and the output beam splitter are never combined; the
     grid probes the fringes in place, the splitter replaces the crossing.
-    ``visibility_measured`` records whether this configuration yields a
-    visibility measurement at all.
     """
 
     grid: bool
     output_beam_splitter: bool
-    visibility_measured: bool
 
     def __post_init__(self):
         if self.grid and self.output_beam_splitter:
             raise ValueError("grid and output beam splitter are mutually exclusive")
-        if (self.grid or self.output_beam_splitter) != self.visibility_measured:
-            raise ValueError(
-                "visibility is measured exactly when the grid or the splitter is present"
-            )
+
+    @property
+    def visibility_measured(self) -> bool:
+        """Whether this configuration yields a visibility measurement at all."""
+        return self.grid or self.output_beam_splitter
 
 
-BARE = Scenario(grid=False, output_beam_splitter=False, visibility_measured=False)
-GRID = Scenario(grid=True, output_beam_splitter=False, visibility_measured=True)
-SPLITTER = Scenario(grid=False, output_beam_splitter=True, visibility_measured=True)
+BARE = Scenario(grid=False, output_beam_splitter=False)
+GRID = Scenario(grid=True, output_beam_splitter=False)
+SPLITTER = Scenario(grid=False, output_beam_splitter=True)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import pytest
 
 import wiregrid
 from wiregrid import DEFAULTS, ExperimentConfig, crosscheck, first_order_window
-from wiregrid.cli import apply_overrides, main, parse_config
+from wiregrid.cli import RunRequest, apply_overrides, main, parse_config, run
 from wiregrid.errors import ConfigParseError
 
 
@@ -304,6 +304,18 @@ def test_parse_error_is_exit_1(tmp_path, capsys):
     assert err["error"]["type"] == "ConfigParseError"
 
 
+def test_non_utf8_config_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"wire_count = 6\n\xff\xfe = 3\n")
+    out = tmp_path / "m.json"
+    rc = main(["metrics", "--config", str(path), "--out", str(out)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ConfigParseError"
+    assert err["error"]["message"].startswith("config file is not UTF-8 text")
+    assert not out.exists()
+
+
 def test_domain_error_is_exit_2(tmp_path, capsys):
     rc = main(["pattern", "--samples", "2", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
@@ -393,6 +405,19 @@ def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, command, fmt):
     assert main([command, "--format", fmt, "--out", str(out)]) == 0
     assert capsys.readouterr().out == ""
     assert out.read_bytes() == stdout.encode()
+
+
+@pytest.mark.parametrize(
+    "command", ["pattern", "budget", "metrics", "sweep", "simulate", "scenario", "validate"]
+)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_run_with_empty_options_writes_the_cli_default_bytes(capsys, command, fmt):
+    # each option default lives in one place, so a request built without
+    # argparse (as the benchmark probe builds it) prints what the CLI prints
+    assert main([command, "--format", fmt]) == 0
+    stdout = capsys.readouterr().out
+    assert run(RunRequest(subcommand=command, output_format=fmt)) == 0
+    assert capsys.readouterr().out == stdout
 
 
 def test_io_error_is_exit_3(capsys):

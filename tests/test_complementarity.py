@@ -282,6 +282,17 @@ def test_sweep_matches_scalar_pipeline(config, b_values):
         assert any(r.in_domain for r in rows) and not all(r.in_domain for r in rows)
 
 
+def test_sweep_quantum_sum_follows_quantum_whichway(monkeypatch):
+    # K = 0 hides a sweep that writes V^2 for K^2 + V^2; a nonzero K shows it
+    monkeypatch.setattr("wiregrid.complementarity.quantum_whichway", lambda: 0.25)
+    rows = sweep_thickness(OUT_OF_DOMAIN_CONFIG, np.linspace(1e-6, 299e-6, 40))
+    inside = [row for row in rows if row.in_domain]
+    assert inside and len(inside) < len(rows)
+    for row in inside:
+        assert row.quantum_sum == fraction_report(row.absorbed, row.covered).quantum_sum
+        assert row.quantum_sum != row.visibility_sq
+
+
 def test_scalar_pipeline_returns_plain_python_types(reference_config):
     assert type(absorbed_fraction_formula(32e-6, 319e-6, 6, 2.55e-3)) is float
     assert type(visibility_lower_bound(BENCH_X, BENCH_Y)) is float

@@ -46,19 +46,13 @@ def test_grid_scenario_approaches_bare_for_thin_wires(reference_config):
 
 def test_grid_and_splitter_mutually_exclusive():
     with pytest.raises(ValueError, match="mutually exclusive"):
-        Scenario(grid=True, output_beam_splitter=True, visibility_measured=True)
-
-
-def test_visibility_measured_flag_consistency():
-    with pytest.raises(ValueError, match="measured"):
-        Scenario(grid=True, output_beam_splitter=False, visibility_measured=False)
-    with pytest.raises(ValueError, match="measured"):
-        Scenario(grid=False, output_beam_splitter=False, visibility_measured=True)
+        Scenario(grid=True, output_beam_splitter=True)
 
 
 def test_truth_table_order(reference_config):
     table = truth_table(reference_config)
     assert [s.scenario for s in table] == [BARE, GRID, SPLITTER]
+    assert [s.scenario.visibility_measured for s in table] == [False, True, True]
 
 
 def test_grid_scenario_propagates_domain_errors():
