@@ -75,11 +75,15 @@ class PhotonBudget:
                 raise ValueError(f"{f.name} must be a fraction in [0, 1], got {v!r}")
         if self.diffracted_to_detectors > self.absorbed + 1e-15:
             raise ValueError("diffracted_to_detectors cannot exceed absorbed, the diffracted total")
-        if self.undisturbed_detected > self.detected + 1e-15:
-            raise ValueError("undisturbed_detected cannot exceed detected")
         residual = self.absorbed + self.diffracted_away + self.detected - 1.0
         if abs(residual) > 1e-12:
             raise ValueError(f"fates must sum to 1, off by {residual:g}")
+        residual = self.detected - self.undisturbed_detected - self.diffracted_to_detectors
+        if abs(residual) > 1e-15:
+            raise ValueError(
+                "detected must equal undisturbed_detected + diffracted_to_detectors, "
+                f"off by {residual:g}"
+            )
 
     def fate_probabilities(self) -> tuple[float, float, float, float]:
         """(undisturbed-detected, absorbed, diffracted-away, diffracted-to-detector)."""
@@ -302,9 +306,6 @@ def crosscheck(config: ExperimentConfig) -> list[Check]:
 
     Rows, in order, each with its pass condition:
 
-    * ``config_invariants``: always passes.  A config is valid by
-      construction (``ExperimentConfig`` checks its invariants when it is
-      built), so an invalid one cannot reach this function;
     * ``fringe_pitch_match``: the fringe spacing lies within 1 % of the pitch;
     * ``absorbed_closed_vs_quadrature``: the closed-form absorbed fraction
       and its Simpson quadrature agree to 1e-10 relative;
@@ -321,16 +322,14 @@ def crosscheck(config: ExperimentConfig) -> list[Check]:
     (751).  The unmasked field's amplitude is the sum of the two, equal to
     its direct transform to rounding since the trapezoid rule is linear.
     """
-    checks = [Check("config_invariants", True, "all invariants hold")]
-
     mismatch = derive_geometry(config).fringe_consistency
-    checks.append(
+    checks = [
         Check(
             "fringe_pitch_match",
             mismatch <= 0.01,
             f"|fringe spacing - pitch| / pitch = {mismatch:.3g}",
         )
-    )
+    ]
 
     x_closed = absorbed_fraction_two_beams(config)
     rel = abs(absorbed_fraction_quadrature(config) - x_closed) / x_closed

@@ -21,7 +21,7 @@ from .budget import (
     absorbed_fraction_two_beams,
     coverage_fraction,
 )
-from .config import ExperimentConfig, positive_finite_error
+from .config import ExperimentConfig, check_wire_thickness
 from .errors import DomainError
 
 
@@ -207,22 +207,19 @@ class SweepRow(NamedTuple):
 def sweep_thickness(config: ExperimentConfig, b_values) -> list[SweepRow]:
     """Evaluate x, y, V and K' bounds over a range of wire thicknesses.
 
-    ``b_values`` must be sorted ascending and lie strictly inside
-    (0, wire_pitch); rows where the absorbed fraction exceeds 1/2 are
-    marked out-of-domain instead of raising.  Every column is computed in
-    one elementwise pass over the whole range, and the rows are built in
-    one pass over the columns' Python values.
+    ``b_values`` must be non-empty and sorted strictly ascending (ValueError)
+    and lie between thicknesses the config could hold (ConfigError from
+    ``check_wire_thickness``); rows where the absorbed fraction exceeds 1/2
+    are marked out-of-domain instead of raising.  Every column is computed
+    in one elementwise pass, and the rows in one pass over their values.
     """
     b = np.fromiter(b_values, dtype=float)
+    if not b.size:
+        raise ValueError("b_values must not be empty")
     if (b[1:] <= b[:-1]).any():
         raise ValueError("b_values must be sorted strictly ascending")
-    if not b.size or b[0] <= 0 or b[-1] >= config.wire_pitch:
-        raise ValueError(
-            f"b_values must lie strictly inside (0, wire_pitch={config.wire_pitch:g})"
-        )
-    finite = np.isfinite(b)
-    if not finite.all():
-        raise positive_finite_error("wire_thickness", float(b[~finite][0]))
+    for edge in (b.min(), b.max()):  # a nan anywhere in b reaches both
+        check_wire_thickness(float(edge), config.wire_pitch)
     x = absorbed_fraction_formula(b, config.wire_pitch, config.wire_count, config.beam_side)
     y = _coverage_formula(b, config.wire_count, config.beam_side)
     v = visibility_lower_bound(x, y)

@@ -95,6 +95,16 @@ def positive_finite_error(name: str, value) -> ConfigError:
     return ConfigError(f"{name} must be a positive finite {kind}, got {value!r}")
 
 
+def check_wire_thickness(b: float, pitch: float) -> None:
+    """``validate_config``'s two checks on a wire thickness b: positive, finite, below pitch."""
+    if not (math.isfinite(b) and b > 0):
+        raise positive_finite_error("wire_thickness", b)
+    if b >= pitch:
+        raise ConfigError(
+            f"wires must not touch: wire_thickness ({b:g} m) must be < wire_pitch ({pitch:g} m)"
+        )
+
+
 def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     """Check every invariant, returning the config unchanged if all hold.
 
@@ -115,11 +125,7 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         )
     if not isinstance(config.photon_count, int) or config.photon_count < 1:
         raise ConfigError(f"photon_count must be a positive integer, got {config.photon_count!r}")
-    if config.wire_thickness >= config.wire_pitch:
-        raise ConfigError(
-            f"wires must not touch: wire_thickness ({config.wire_thickness:g} m) "
-            f"must be < wire_pitch ({config.wire_pitch:g} m)"
-        )
+    check_wire_thickness(config.wire_thickness, config.wire_pitch)
     if config.wire_count * config.wire_pitch > config.beam_side:
         raise ConfigError(
             f"grid does not fit inside the beam: wire_count * wire_pitch = "

@@ -3,17 +3,18 @@
 Each photon's randomness comes from a counter-based generator keyed by the
 seed and indexed by the photon number (Philox 2x32 with 10 rounds, the
 standard Random123 construction), so tallies are bit-identical no matter
-how the photon range is chunked or parallelized.  ``sample_fates`` splits
-the range into contiguous spans of cache-sized chunks (2**15 photons by
-default), at most one span per usable core and at least four chunks per
-span, and tallies the spans on threads.  Each span allocates one workspace
-and reuses it for every chunk: it runs the Philox rounds in place and
-tallies each photon by comparing its raw 64-bit word with integer
-thresholds, which is exactly equivalent to comparing the 53-bit uniform
-``photon_uniforms`` returns with the cumulative fate probabilities.
-Tallies add up over any partition of the photon range, so the counts do
-not depend on the number of cores.  On a quiet 2-core Xeon a 10**7-photon
-tally costs about 11 ns per photon (18 ns on one core).
+how the photon range is chunked or parallelized.  One routine,
+``_philox_words``, fills caller-given arrays with the photons' 64-bit words
+for both ``photon_uniforms`` and ``sample_fates``.  ``sample_fates`` splits
+the range into contiguous spans of fixed 2**15-photon chunks, at most one
+span per usable core and at least four chunks per span, and tallies the
+spans on threads.  Each span reuses one workspace for every chunk and
+tallies each photon by comparing its word with integer thresholds, which is
+exactly equivalent to comparing its 53-bit uniform with the cumulative fate
+probabilities.  Tallies add up over any partition of the photon range, so
+the counts depend neither on the chunking nor on the core count.  On a
+quiet 2-core Xeon a 10**7-photon tally costs about 11 ns per photon (18 ns
+on one core).
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ _PHILOX_W = np.uint64(0x9E3779B9)
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _SHIFT11 = np.uint64(11)
+# Photons per chunk: the working arrays of a chunk stay in cache.
+_CHUNK = 1 << 15
 # A span on its own thread pays for the thread and for handing the
 # interpreter lock back and forth around each of the ~60 numpy calls per
 # chunk.  On a loaded 2-core host two threads over the four chunks of 10**5
@@ -42,33 +45,28 @@ _SHIFT11 = np.uint64(11)
 _MIN_SPAN_CHUNKS = 4
 
 
-def _philox_rounds(lo: np.ndarray, hi: np.ndarray, prod: np.ndarray, key: int) -> None:
-    """Philox2x32-10 (Salmon et al., SC'11) in place on counters (lo, hi).
+def _philox_words(step, start: int, key: int, lo, hi, word) -> None:
+    """Fill word with the 64-bit Philox words of photons start + step under key.
 
-    lo and hi hold uint64 values below 2**32 and end as the two output words
-    in Random123 order; prod is scratch of the same shape.
+    Philox2x32-10 (Salmon et al., SC'11): the photon index is the counter
+    (low word, high word), the key is the seed, and the first output word
+    is the high half of the result.  step, lo, hi and word are uint64 arrays
+    of one shape; lo and hi are scratch.
     """
+    np.add(step, np.uint64(start), out=word)  # the photon index
+    np.bitwise_and(word, _MASK32, out=lo)
+    np.right_shift(word, _SHIFT32, out=hi)
     k = np.uint64(key)
     for _ in range(10):
-        np.multiply(lo, _PHILOX_M, out=prod)  # operands < 2^32, exact in uint64
-        # prod >> 32, hi and k are all below 2^32, so the new lo needs no mask
-        np.right_shift(prod, _SHIFT32, out=lo)
+        np.multiply(lo, _PHILOX_M, out=word)  # operands < 2^32, exact in uint64
+        # word >> 32, hi and k are all below 2^32, so the new lo needs no mask
+        np.right_shift(word, _SHIFT32, out=lo)
         lo ^= hi
         lo ^= k
-        np.bitwise_and(prod, _MASK32, out=hi)
+        np.bitwise_and(word, _MASK32, out=hi)
         k = (k + _PHILOX_W) & _MASK32
-
-
-def _philox2x32_10(lo: np.ndarray, hi: np.ndarray, key: int) -> tuple[np.ndarray, np.ndarray]:
-    """Philox2x32-10 on copies of counters (lo, hi) held in uint64.
-
-    Returns the two output words in Random123 order, each below 2**32; the
-    caller's arrays are left as given.
-    """
-    lo = np.array(lo, dtype=np.uint64)
-    hi = np.array(hi, dtype=np.uint64)
-    _philox_rounds(lo, hi, np.empty_like(lo), key)
-    return lo, hi
+    np.left_shift(lo, _SHIFT32, out=word)
+    word |= hi
 
 
 def _check_photon_range(seed: int, start: int, count: int) -> tuple[int, int, int]:
@@ -85,16 +83,11 @@ def _check_photon_range(seed: int, start: int, count: int) -> tuple[int, int, in
 
 
 def _photon_words(seed: int, start: int, count: int) -> np.ndarray:
-    """The 64-bit Philox words of photons [start, start + count) under seed.
-
-    The photon index is the counter (low word, high word), the seed is the
-    key, and the first output word is the high half of the result.
-    """
+    """The 64-bit Philox words of photons [start, start + count) under seed."""
     seed, start, count = _check_photon_range(seed, start, count)
-    idx = np.arange(start, start + count, dtype=np.uint64)
-    word, hi = _philox2x32_10(idx & _MASK32, idx >> _SHIFT32, seed)
-    word <<= _SHIFT32
-    word |= hi
+    lo, hi, word = (np.empty(count, dtype=np.uint64) for _ in range(3))
+    # only an empty range may start at 2**64, one past the last counter
+    _philox_words(np.arange(count, dtype=np.uint64), start % 2**64, seed, lo, hi, word)
     return word
 
 
@@ -162,77 +155,62 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _tally_span(
-    seed: int, thresholds: list, begin: int, end: int, chunk_size: int
-) -> list[int]:
+def _tally_span(seed: int, thresholds: list, begin: int, end: int) -> list[int]:
     """For each threshold, how many photons in [begin, end) have a word below it.
 
-    One workspace of chunk_size (or fewer) photons is allocated here and
+    One workspace of ``_CHUNK`` (or fewer) photons is allocated here and
     reused for every chunk of the span; a threshold of None counts every
     photon.  The words are those of ``_photon_words(seed, begin, end - begin)``.
     """
-    size = min(chunk_size, end - begin)
+    size = min(_CHUNK, end - begin)
     step = np.arange(size, dtype=np.uint64)
-    lo, hi, prod = np.empty((3, size), dtype=np.uint64)
+    lo, hi, word = np.empty((3, size), dtype=np.uint64)
     mask = np.empty(size, dtype=bool)
     below = [0] * len(thresholds)
-    for start in range(begin, end, chunk_size):
-        count = min(chunk_size, end - start)
+    for start in range(begin, end, _CHUNK):
+        count = min(_CHUNK, end - start)
         if count < size:  # only the last chunk is short
-            step, lo, hi, prod, mask = (a[:count] for a in (step, lo, hi, prod, mask))
-        np.add(step, np.uint64(start), out=prod)  # the photon index
-        np.bitwise_and(prod, _MASK32, out=lo)
-        np.right_shift(prod, _SHIFT32, out=hi)
-        _philox_rounds(lo, hi, prod, seed)
-        np.left_shift(lo, _SHIFT32, out=prod)
-        prod |= hi
+            step, lo, hi, word, mask = (a[:count] for a in (step, lo, hi, word, mask))
+        _philox_words(step, start, seed, lo, hi, word)
         for k, t in enumerate(thresholds):
             if t is None:
                 below[k] += count
             else:
-                np.less(prod, t, out=mask)
+                np.less(word, t, out=mask)
                 below[k] += int(np.count_nonzero(mask))
     return below
 
 
-def sample_fates(
-    budget: PhotonBudget, n: int, seed: int, chunk_size: int = 1 << 15
-) -> FateCounts:
+def sample_fates(budget: PhotonBudget, n: int, seed: int) -> FateCounts:
     """Draw n photon fates from the budget's categorical distribution.
 
     Probabilities are (undisturbed-detected, absorbed, diffracted-away,
-    diffracted-to-detector); the result is deterministic in (budget, n,
-    seed) and independent of ``chunk_size`` and of the number of cores.
+    diffracted-to-detector), which ``PhotonBudget`` guarantees to be a
+    distribution; the result is deterministic in (budget, n, seed) and
+    independent of the chunking and of the number of cores.
     Photon i takes the first fate whose cumulative probability exceeds its
     uniform u_i from ``photon_uniforms``.  Without building the uniforms,
     each chunk counts the Philox words below ``ceil(e * 2**53) * 2**11`` for
     each cumulative probability e < 1, which is exactly the test u_i < e.
-    The default chunk of 2**15 photons keeps the working arrays in cache.
-    The chunks are split into contiguous spans, at most one per usable core
-    and at least ``_MIN_SPAN_CHUNKS`` chunks each (so a short range is one
-    span); the first span runs on the calling thread and each other span on
-    its own thread, and the spans' counts are summed.
+    The fixed chunk of ``_CHUNK`` (2**15) photons keeps the working arrays
+    in cache.  The chunks are split into contiguous spans, at most one per
+    usable core and at least ``_MIN_SPAN_CHUNKS`` chunks each (so a short
+    range is one span); the first span runs on the calling thread and each
+    other span on its own thread, and the spans' counts are summed.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be a positive integer")
-    p = np.array(budget.fate_probabilities(), dtype=float)
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        raise DomainError(f"fate probabilities outside [0, 1]: {p.tolist()}")
-    if abs(p.sum() - 1.0) > 1e-12:
-        raise DomainError(f"fate probabilities sum to {p.sum()!r}, not 1")
     seed = _check_photon_range(seed, 0, n)[0]
     # the last edge is 1, which every uniform lies below
-    thresholds = [_word_threshold(edge) for edge in np.cumsum(p)[:-1]]
-    chunks = -(-n // chunk_size)
+    thresholds = [_word_threshold(edge) for edge in np.cumsum(budget.fate_probabilities())[:-1]]
+    chunks = -(-n // _CHUNK)
     spans = max(1, min(_usable_cores(), chunks // _MIN_SPAN_CHUNKS))
-    bounds = [min(n, j * chunks // spans * chunk_size) for j in range(spans + 1)]
+    bounds = [min(n, j * chunks // spans * _CHUNK) for j in range(spans + 1)]
     tallies: list = [None] * spans
 
     def tally(j: int) -> None:
         try:
-            tallies[j] = _tally_span(seed, thresholds, bounds[j], bounds[j + 1], chunk_size)
+            tallies[j] = _tally_span(seed, thresholds, bounds[j], bounds[j + 1])
         except BaseException as exc:  # re-raised on the calling thread
             tallies[j] = exc
 

@@ -21,6 +21,7 @@ from wiregrid import (
     far_field_amplitude,
     first_order_window,
     grid_metrics,
+    montecarlo,
     sample_fates,
     sweep_thickness,
     symmetric_grid,
@@ -204,7 +205,7 @@ def test_criterion_10_sweep_properties(reference_config):
     )
 
 
-def test_criterion_11_monte_carlo(reference_config, reference_budget):
+def test_criterion_11_monte_carlo(monkeypatch, reference_config, reference_budget):
     n = 1_000_000
     seed = 1
     counts = sample_fates(reference_budget, n, seed)
@@ -218,10 +219,11 @@ def test_criterion_11_monte_carlo(reference_config, reference_budget):
         key: (obs - n * p) / math.sqrt(n * p * (1 - p)) for key, (obs, p) in probs.items()
     }
     ok_tallies = all(abs(z) < 4 for z in sigmas.values())
-    ok_chunks = (
-        sample_fates(reference_budget, 200_000, seed, chunk_size=1 << 20)
-        == sample_fates(reference_budget, 200_000, seed, chunk_size=911)
-    )
+    by_chunk = []
+    for chunk in (1 << 20, 911):
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        by_chunk.append(sample_fates(reference_budget, 200_000, seed))
+    ok_chunks = by_chunk[0] == by_chunk[1]
     m4 = estimate_metrics(sample_fates(reference_budget, 10_000, seed), reference_config)
     m6 = estimate_metrics(counts, reference_config)
     ratio = m4.absorbed_stderr / m6.absorbed_stderr

@@ -168,6 +168,20 @@ def test_budget_babinet_equality():
         )
 
 
+def test_detected_must_split_into_undisturbed_and_diffracted_in():
+    # each fraction, the Babinet bound and the sum to 1 hold, but 0.85 is
+    # not 0.5 + 0.05, so the fates sample_fates draws are not a distribution
+    with pytest.raises(ValueError, match="detected must equal"):
+        PhotonBudget(
+            absorbed=0.1,
+            covered=0.2,
+            diffracted_to_detectors=0.05,
+            diffracted_away=0.05,
+            detected=0.85,
+            undisturbed_detected=0.5,
+        )
+
+
 def test_budget_orderings(reference_budget):
     assert reference_budget.diffracted_to_detectors <= reference_budget.absorbed
     assert reference_budget.undisturbed_detected <= reference_budget.detected
@@ -307,7 +321,6 @@ def test_window_integrals_match_dense_trapezoid(reference_config, b_um):
 # ---------------------------------------------------------------------------
 
 CROSSCHECK_ROWS = [
-    "config_invariants",
     "fringe_pitch_match",
     "absorbed_closed_vs_quadrature",
     "fourier_oracle_vs_closed_form",

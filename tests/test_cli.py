@@ -13,7 +13,7 @@ import pytest
 import wiregrid
 from wiregrid import DEFAULTS, ExperimentConfig, crosscheck, first_order_window
 from wiregrid.cli import RunRequest, apply_overrides, main, parse_config, run
-from wiregrid.errors import ConfigParseError
+from wiregrid.errors import ConfigError, ConfigParseError
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +355,36 @@ def test_non_finite_sweep_bound_is_exit_1_before_the_grid(capsys, bound, fmt):
     )
 
 
+@pytest.mark.parametrize(
+    "bound,message",
+    [
+        (("--b-min", "0"), "wire_thickness must be a positive finite length, got 0.0"),
+        (
+            ("--b-min", "-5"),
+            "wire_thickness must be a positive finite length, got -4.9999999999999996e-06",
+        ),
+        (
+            ("--b-max", "400"),
+            "wires must not touch: wire_thickness (0.0004 m) must be < wire_pitch (0.000319 m)",
+        ),
+    ],
+    ids=["b-min-0", "b-min-negative", "b-max-touching"],
+)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_bad_sweep_thickness_is_the_configs_error(capsys, bound, message, fmt):
+    # a finite swept thickness that no config could hold exits 1 with the
+    # ConfigError a config of that wire_thickness raises, like nan and inf
+    rc = main(["sweep", *bound, "--format", fmt])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert (err["type"], err["message"], err["exit_code"]) == ("ConfigError", message, 1)
+    with pytest.raises(ConfigError) as raised:
+        ExperimentConfig().replace(wire_thickness=float(bound[1]) * 1e-6)
+    assert str(raised.value) == message
+
+
 @pytest.mark.parametrize("theta_range", ["0", "-1", "nan"])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_degenerate_theta_range_is_exit_2(capsys, theta_range, fmt):
@@ -381,14 +411,15 @@ def test_validate_rejects_invalid_config_before_any_check(capsys, fmt):
 
 
 @pytest.mark.parametrize(
-    "failing", [("sweep", "--b-max", "400"), ("pattern", "--theta-range", "2000")]
+    "failing", [(("sweep", "--b-max", "400"), 1), (("pattern", "--theta-range", "2000"), 2)]
 )
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_failing_command_leaves_the_out_file_unchanged(tmp_path, capsys, failing, fmt):
+    args, code = failing
     out = tmp_path / f"f.{fmt}"
     out.write_text("an earlier result\n")
-    rc = main([*failing, "--format", fmt, "--out", str(out)])
-    assert rc == 2
+    rc = main([*args, "--format", fmt, "--out", str(out)])
+    assert rc == code
     assert capsys.readouterr().out == ""
     assert out.read_text() == "an earlier result\n"
 

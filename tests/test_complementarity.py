@@ -360,5 +360,10 @@ def test_sweep_rejects_non_finite_thickness(reference_config):
 def test_sweep_rejects_unsorted_or_out_of_range(reference_config):
     with pytest.raises(ValueError, match="ascending"):
         sweep_thickness(reference_config, [2e-6, 1e-6])
-    with pytest.raises(ValueError, match="inside"):
+    with pytest.raises(ValueError, match="empty"):
+        sweep_thickness(reference_config, [])
+    # a thickness no config could hold raises the config's own error
+    with pytest.raises(ConfigError, match=r"finite length, got 0\.0$"):
+        sweep_thickness(reference_config, [0.0, 1e-6])
+    with pytest.raises(ConfigError, match=r"^wires must not touch: wire_thickness \(0\.000319 m\)"):
         sweep_thickness(reference_config, [1e-6, 319e-6])

@@ -15,7 +15,7 @@ from wiregrid import (
     visibility_lower_bound,
 )
 from wiregrid.budget import PhotonBudget
-from wiregrid.montecarlo import _philox2x32_10, _photon_words, _tally_span, _word_threshold
+from wiregrid.montecarlo import _photon_words, _tally_span, _word_threshold
 
 
 def make_budget(x=0.0012401415665121626, f_det=0.0016144048753482427):
@@ -63,19 +63,10 @@ def test_uniforms_in_unit_interval_and_unbiased():
     ],
 )
 def test_philox_matches_random123_known_answers(counter, key, expected):
-    lo, hi = _philox2x32_10(
-        np.array([counter[0]], dtype=np.uint64), np.array([counter[1]], dtype=np.uint64), key
-    )
-    assert (int(lo[0]), int(hi[0])) == expected
-
-
-def test_philox_leaves_its_inputs_unchanged():
-    lo = np.arange(1000, dtype=np.uint64)
-    hi = lo[::-1].copy()
-    lo_before, hi_before = lo.copy(), hi.copy()
-    _philox2x32_10(lo, hi, 0x13198A2E)
-    assert np.array_equal(lo, lo_before)
-    assert np.array_equal(hi, hi_before)
+    # the photon index is the counter (low word, high word); the word holds
+    # the first output word in its high half
+    word = int(_photon_words(key, (counter[1] << 32) | counter[0], 1)[0])
+    assert (word >> 32, word & 0xFFFFFFFF) == expected
 
 
 def test_uniforms_carry_the_philox_words():
@@ -108,6 +99,7 @@ def test_photon_range_may_end_at_last_counter():
     u = photon_uniforms(1, 2**64 - 2, 2)
     assert u.shape == (2,)
     assert u[1] == photon_uniforms(1, 2**64 - 1, 1)[0]
+    assert photon_uniforms(1, 2**64, 0).shape == (0,)
 
 
 def test_seed_range_edges_accepted():
@@ -128,12 +120,23 @@ def test_same_seed_identical_counts():
     assert a == b
 
 
-def test_chunk_size_cannot_change_counts():
+def test_chunk_size_cannot_change_counts(monkeypatch):
     budget = make_budget()
-    a = sample_fates(budget, 300_000, 9, chunk_size=1 << 20)
-    b = sample_fates(budget, 300_000, 9, chunk_size=977)
-    c = sample_fates(budget, 300_000, 9, chunk_size=299_999)
-    assert a == b == c
+    tallies = []
+    for chunk in (1 << 20, 977, 299_999):
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        tallies.append(sample_fates(budget, 300_000, 9))
+    assert tallies[0] == tallies[1] == tallies[2]
+
+
+@pytest.mark.parametrize(
+    "seed,expected", [(0, (997529, 1235, 1236, 1)), (7, (997608, 1189, 1203, 3))]
+)
+def test_reference_photon_stream_is_pinned(reference_budget, seed, expected):
+    # the float reference below shares the word routine with the tally, so
+    # this pin and the Random123 answers are what hold the stream in place
+    c = sample_fates(reference_budget, 10**6, seed)
+    assert (c.detected_own, c.absorbed, c.diffracted_away, c.diffracted_to_detectors) == expected
 
 
 def test_counts_conserved_and_consistent():
@@ -269,25 +272,9 @@ def test_word_threshold_at_one_counts_every_word():
     assert _word_threshold(1.0 + 1e-13) is None
 
 
-def test_bad_probabilities_rejected():
-    budget = make_budget()
-    object.__setattr__(budget, "absorbed", 0.2)  # break the normalization
-    with pytest.raises(DomainError, match="sum"):
-        sample_fates(budget, 100, 0)
-    object.__setattr__(budget, "absorbed", -0.1)
-    with pytest.raises(DomainError, match="outside"):
-        sample_fates(budget, 100, 0)
-
-
 def test_nonpositive_n_rejected():
     with pytest.raises(ValueError, match="positive"):
         sample_fates(make_budget(), 0, 0)
-
-
-@pytest.mark.parametrize("chunk_size", [0, -1])
-def test_nonpositive_chunk_size_rejected(chunk_size):
-    with pytest.raises(ValueError, match="chunk_size"):
-        sample_fates(make_budget(), 100, 0, chunk_size=chunk_size)
 
 
 # ---------------------------------------------------------------------------
@@ -305,18 +292,20 @@ SPLIT_N = 100_001
 @pytest.mark.parametrize("cores", [1, 2, 3, 7])
 def test_counts_do_not_depend_on_core_count(monkeypatch, budget_name, n, chunk_size, cores):
     monkeypatch.setattr(montecarlo, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(montecarlo, "_CHUNK", chunk_size)
     budget = TALLY_BUDGETS[budget_name]()
-    assert sample_fates(budget, n, 7, chunk_size=chunk_size) == reference_fates(budget, n, 7)
+    assert sample_fates(budget, n, 7) == reference_fates(budget, n, 7)
 
 
 def test_counts_survive_rapid_thread_switching(monkeypatch):
     monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 7)
+    monkeypatch.setattr(montecarlo, "_CHUNK", 977)
     budget = TALLY_BUDGETS["zero-probability-fate"]()
     expected = reference_fates(budget, SPLIT_N, 11)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        tallies = [sample_fates(budget, SPLIT_N, 11, chunk_size=977) for _ in range(5)]
+        tallies = [sample_fates(budget, SPLIT_N, 11) for _ in range(5)]
     finally:
         sys.setswitchinterval(interval)
     assert tallies == [expected] * 5
@@ -334,15 +323,16 @@ def test_counts_survive_rapid_thread_switching(monkeypatch):
 )
 def test_spans_are_contiguous_chunk_runs_one_per_thread(monkeypatch, n, chunk_size, cores, spans):
     monkeypatch.setattr(montecarlo, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(montecarlo, "_CHUNK", chunk_size)
     calls = []
 
-    def record(seed, thresholds, begin, end, size):
+    def record(seed, thresholds, begin, end):
         calls.append((begin, end, threading.current_thread()))
         return [0] * len(thresholds)
 
     monkeypatch.setattr(montecarlo, "_tally_span", record)
     # the stub counts nothing, so every photon lands in the last fate
-    sample_fates(make_budget(), n, 7, chunk_size=chunk_size)
+    sample_fates(make_budget(), n, 7)
     calls.sort(key=lambda call: call[0])
     assert len(calls) == spans
     assert calls[0][0] == 0 and calls[-1][1] == n
@@ -359,25 +349,27 @@ class SpanFailure(Exception):
 
 def test_error_in_a_worker_span_is_raised_by_the_caller(monkeypatch):
     monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(montecarlo, "_CHUNK", 977)
     tally = montecarlo._tally_span
 
-    def fail_after_zero(seed, thresholds, begin, end, size):
+    def fail_after_zero(seed, thresholds, begin, end):
         if begin > 0:
             raise SpanFailure(f"span at {begin}")
-        return tally(seed, thresholds, begin, end, size)
+        return tally(seed, thresholds, begin, end)
 
     monkeypatch.setattr(montecarlo, "_tally_span", fail_after_zero)
     with pytest.raises(SpanFailure, match="span at"):
-        sample_fates(make_budget(), SPLIT_N, 7, chunk_size=977)
+        sample_fates(make_budget(), SPLIT_N, 7)
 
 
 @pytest.mark.parametrize("begin,end", [(2**32 - 40_000, 2**32 + 30_000), (2**64 - 70_000, 2**64)])
 @pytest.mark.parametrize("chunk_size", [977, 2**15])
-def test_span_tally_matches_words_across_counter_edges(begin, end, chunk_size):
+def test_span_tally_matches_words_across_counter_edges(monkeypatch, begin, end, chunk_size):
+    monkeypatch.setattr(montecarlo, "_CHUNK", chunk_size)
     thresholds = [None, np.uint64(0), np.uint64(2**63), np.uint64(2**64 - 2**11)]
     word = _photon_words(3_764_114_740, begin, end - begin)
     expected = [end - begin, 0, *(int(np.count_nonzero(word < t)) for t in thresholds[2:])]
-    assert _tally_span(3_764_114_740, thresholds, begin, end, chunk_size) == expected
+    assert _tally_span(3_764_114_740, thresholds, begin, end) == expected
 
 
 # ---------------------------------------------------------------------------
