@@ -32,12 +32,11 @@ from .config import ExperimentConfig, derive_geometry, wire_centers
 from .diffraction import (
     FieldProfile,
     _fringe_amplitude,
+    _fringe_samples,
     _grid_intensity,
     _single_beam_amplitude,
-    _strip_amplitudes,
     detector_windows,
     far_field_amplitude,
-    fringe_field_profile,
     symmetric_grid,
     two_beam_grid_intensity,
 )
@@ -315,12 +314,13 @@ def crosscheck(config: ExperimentConfig) -> list[Check]:
     * ``fringe_oracle_vs_closed_form``: the quadrature amplitude of the
       unmasked fringe field matches its closed form within 1e-3 of the peak.
 
-    The fringe profile is built once and split into the complement and the
-    masked remainder; each is transformed on the 1501 angles of
-    ``symmetric_grid`` over |theta| <= 2.5 mrad, whose samples negate
-    bit-exactly, so ``_transform`` builds one kernel per distinct |q|
-    (751).  The unmasked field's amplitude is the sum of the two, equal to
-    its direct transform to rounding since the trapezoid rule is linear.
+    The fringe field is built once, and the grid's strip shares split it into
+    the complement, share * field, and the masked rest, (1 - share) * field.
+    Each is transformed on the 1501 angles of ``symmetric_grid`` over |theta|
+    <= 2.5 mrad, whose samples negate bit-exactly, so ``_transform`` builds
+    one kernel per distinct |q| (751).  The unmasked field's amplitude is the
+    sum of the two, equal to its direct transform to rounding since the
+    trapezoid rule is linear.
     """
     mismatch = derive_geometry(config).fringe_consistency
     checks = [
@@ -338,11 +338,9 @@ def crosscheck(config: ExperimentConfig) -> list[Check]:
     )
 
     theta = symmetric_grid(0.0025, 1501)
-    full = fringe_field_profile(config, max_sin_theta=0.0025)
-    x = full.x_samples
-    on_strips = _strip_amplitudes(config, x, full.amplitude_samples)
-    f_complement = far_field_amplitude(FieldProfile(x, on_strips, config.wavelength), theta)
-    masked = FieldProfile(x, full.amplitude_samples - on_strips, config.wavelength)
+    x, share, field = _fringe_samples(config, 0.0025)
+    f_complement = far_field_amplitude(FieldProfile(x, share * field, config.wavelength), theta)
+    masked = FieldProfile(x, (1.0 - share) * field, config.wavelength)
     f_full = f_complement + far_field_amplitude(masked, theta)
 
     k = math.pi / config.wire_pitch

@@ -143,9 +143,9 @@ def load_config(request: RunRequest) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class Report:
-    """A subcommand's result before a format is chosen: the JSON ``sections``,
-    the CSV ``table`` as ``(header, rows)`` (None: CSV flattens the sections)
-    and the exit code."""
+    """A subcommand's result before a format is chosen: the JSON ``sections``
+    (``run`` puts the config echo first), the CSV ``table`` as ``(header,
+    rows)`` (None: CSV flattens the sections) and the exit code."""
 
     sections: dict
     table: tuple[list[str], list] | None = None
@@ -192,10 +192,10 @@ def emit_report(sections: dict, fmt: str, out: io.TextIOBase) -> None:
         out.write("\n")
 
 
-def _table_report(config: ExperimentConfig, key: str, header: list[str], table: list) -> Report:
-    """JSON ``{config, <key>: [row objects]}``; CSV the table itself."""
+def _table_report(key: str, header: list[str], table: list) -> Report:
+    """JSON ``{<key>: [row objects]}``; CSV the table itself."""
     rows = [dict(zip(header, r)) for r in table]
-    return Report({"config": _config_echo(config), key: rows}, (header, table))
+    return Report({key: rows}, (header, table))
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +209,6 @@ def _cmd_pattern(config: ExperimentConfig, theta_range=10.0, samples=4001) -> Re
     theta_rad = theta.tolist()
     intensity_rel = two_beam_grid_intensity(theta, config).tolist()
     sections = {
-        "config": _config_echo(config),
         "scale_note": (
             "|F|^2 / (4 k^2), F the far field of the fringe field on the wire "
             "strips, k = pi / wire_pitch"
@@ -225,7 +224,6 @@ def _cmd_budget(config: ExperimentConfig) -> Report:
     windows = detector_windows(config)
     n = config.photon_count
     return Report({
-        "config": _config_echo(config),
         "detector_windows_rad": {
             "negative": list(windows[0]),
             "positive": list(windows[1]),
@@ -262,7 +260,6 @@ def _cmd_metrics(config: ExperimentConfig) -> Report:
     area_mm2 = (config.beam_side * 1e3) ** 2
     pair = worst_case_intensity_pair(x, y, config.photon_count, area_mm2)
     return Report({
-        "config": _config_echo(config),
         "fractions": {"absorbed": x, "covered": y},
         "worst_case_intensities_per_mm2": {"i_min": pair.i_min, "i_max": pair.i_max},
         "report": report.as_dict(),
@@ -290,19 +287,18 @@ def _cmd_sweep(config: ExperimentConfig, b_min=1.0, b_max=150.0, steps=150) -> R
     for b in (b_min, b_max):  # before np.linspace spreads a nan or inf over the grid
         if not math.isfinite(b):
             raise positive_finite_error("wire_thickness", b)
-    rows = sweep_thickness(config, np.linspace(b_min * 1e-6, b_max * 1e-6, steps))
+    rows = sweep_thickness(config, np.linspace(b_min / 1e6, b_max / 1e6, steps))
     header = ["wire_thickness_um", *_SWEEP_COLUMNS]
     table = [
         [row.wire_thickness * 1e6, *(getattr(row, c) for c in _SWEEP_COLUMNS)] for row in rows
     ]
-    return _table_report(config, "sweep", header, table)
+    return _table_report("sweep", header, table)
 
 
 def _cmd_simulate(config: ExperimentConfig, seed=0) -> Report:
     counts = sample_fates(two_beam_budget(config), config.photon_count, seed)
     metrics = estimate_metrics(counts, config)
     return Report({
-        "config": _config_echo(config),
         "counts": counts.as_dict(),
         "estimates": metrics.as_dict(),
     })
@@ -338,7 +334,7 @@ def _cmd_scenario(config: ExperimentConfig) -> Report:
                 sr.rationale,
             ]
         )
-    return _table_report(config, "scenarios", header, table)
+    return _table_report("scenarios", header, table)
 
 
 def _cmd_validate(config: ExperimentConfig) -> Report:
@@ -346,7 +342,7 @@ def _cmd_validate(config: ExperimentConfig) -> Report:
     rows = [{"check": c.name, "passed": c.passed, "detail": c.detail} for c in checks]
     table = [[c.name, "pass" if c.passed else "FAIL", c.detail] for c in checks]
     return Report(
-        {"config": _config_echo(config), "checks": rows},
+        {"checks": rows},
         (["check", "status", "detail"], table),
         0 if all(c.passed for c in checks) else 2,
     )
@@ -375,11 +371,12 @@ def run(request: RunRequest) -> int:
         raise ConfigParseError(f"unknown output format {request.output_format!r}")
     config = load_config(request)
     report = _COMMANDS[request.subcommand](config, **request.options)
+    sections = {"config": _config_echo(config), **report.sections}
     buffer = io.StringIO()
     if request.output_format == "csv" and report.table is not None:
         emit_rows(*report.table, buffer)
     else:
-        emit_report(report.sections, request.output_format, buffer)
+        emit_report(sections, request.output_format, buffer)
     if request.output_path == "-":
         sys.stdout.write(buffer.getvalue())
     else:

@@ -9,15 +9,15 @@ Every pattern the analysis uses is evaluated in closed form:
 * the diffracted component of one uniform beam on the grid, a uniform field
   on the wire strips (``single_beam_strip_far_field``).
 
-A numerical Fourier-integral quadrature over sampled aperture field
-profiles (``far_field_amplitude``) is kept only as an independent oracle
-for those closed forms: ``budget.crosscheck`` transforms the fringe field
-restricted to the wire strips (the Babinet complement of the masked field)
-against the two-beam pattern at its fixed scale 4 k^2, and the unmasked
-fringe field against its own closed form (``_fringe_amplitude``).  The
-oracle builds one cos/sin kernel per distinct |q| (the amplitudes are real,
-so F(-q) = conj F(q)) over each profile's support, and takes the unmasked
-field as complement + masked, which the trapezoid rule sums node by node.
+A numerical Fourier-integral quadrature over sampled aperture profiles
+(``far_field_amplitude``) is kept only as an independent oracle for those
+closed forms.  Its grid (``_aperture_grid``) puts every strip edge on a node
+and gives each node its share of a wire strip, so the fringe field, its
+Babinet complement on the strips and the masked remainder are products on
+one grid.  ``budget.crosscheck`` transforms the complement against the
+two-beam pattern at its fixed scale 4 k^2, and complement + masked against
+the unmasked fringe's closed form (``_fringe_amplitude``); the kernel is
+built once per distinct |q|, since F(-q) = conj F(q) for a real field.
 The sampled patterns (``two_beam_pattern``, ``single_beam_strip_far_field``,
 ``band_power``) feed no budget; they remain as references for the tests and
 the benchmark probe.
@@ -65,10 +65,10 @@ class FieldProfile:
     """Scalar field amplitude sampled across the beam aperture.
 
     ``wavelength`` rides along because the far-field transform needs the
-    wavenumber.  Amplitudes are signed reals (scalar approximation); jump
-    discontinuities are encoded with the half-value convention at the jump
-    node so that composite trapezoid quadrature stays second-order accurate
-    through them.
+    wavenumber.  Amplitudes are signed reals (scalar approximation); at each
+    jump discontinuity the grid itself (``_aperture_grid``), not a search,
+    places a node taking the half value, so composite trapezoid quadrature
+    stays second-order accurate through it.
     """
 
     x_samples: np.ndarray
@@ -198,59 +198,44 @@ def two_beam_pattern(config: ExperimentConfig, samples_per_lobe: int = 64) -> Di
 # sampled field profiles
 # ---------------------------------------------------------------------------
 
-def _strip_bounds(config: ExperimentConfig) -> list[tuple[float, float]]:
-    half = config.wire_thickness / 2.0
-    return [(xc - half, xc + half) for xc in wire_centers(config)]
+def _aperture_grid(config: ExperimentConfig, dx_gap: float) -> tuple[np.ndarray, np.ndarray]:
+    """Piecewise-uniform aperture grid with every strip edge on a node, and
+    each node's share of a wire strip: 1 inside, 1/2 on the two edge nodes.
 
-
-def _aperture_grid(config: ExperimentConfig, dx_gap: float) -> np.ndarray:
-    """Piecewise-uniform aperture grid with every strip edge on a node.
-
-    Each strip interior is sampled at least 64 times (128 by default) and
-    the four nodes on either side of an edge share the strip spacing, so the
-    half-value jump convention cancels the leading quadrature error.
+    Each strip interior is sampled at least 64 times (128 by default) and the
+    four nodes either side of an edge share the strip spacing, so the half
+    value at the edge cancels the leading quadrature error.
     """
     b = config.wire_thickness
     n_strip = max(128, int(np.ceil(b / min(dx_gap, b / 128.0))))
     h = b / n_strip
     half_w = config.beam_side / 2.0
-    # (start, end, target spacing, exact): exact segments get round() so the
-    # spacing either side of a strip edge is identical and the half-value
-    # jump convention cancels the leading quadrature error.
-    segments: list[tuple[float, float, float, bool]] = []
-    cursor = -half_w
-    for lo, hi in _strip_bounds(config):
-        segments.append((cursor, lo - 4 * h, dx_gap, False))
-        segments.append((lo - 4 * h, lo, h, True))
-        segments.append((lo, hi, h, True))
-        segments.append((hi, hi + 4 * h, h, True))
+    lower_edge, strip = np.array([0.0, 0.0, 0.0, 0.5]), np.append(np.ones(n_strip - 1), 0.5)
+    # (start, end, node count or None for the gap spacing, shares of the nodes after start)
+    pieces, cursor = [], -half_w
+    for xc in wire_centers(config):
+        lo, hi = xc - b / 2.0, xc + b / 2.0
+        pieces += [(cursor, lo - 4 * h, None, 0.0), (lo - 4 * h, lo, 4, lower_edge),
+                   (lo, hi, n_strip, strip), (hi, hi + 4 * h, 4, 0.0)]
         cursor = hi + 4 * h
-    segments.append((cursor, half_w, dx_gap, False))
-    xs = [np.array([-half_w])]
-    for a, c, target, exact in segments:
-        if c <= a:
+    pieces.append((cursor, half_w, None, 0.0))
+    xs, shares = [np.array([-half_w])], [np.zeros(1)]
+    for a, c, m, share in pieces:
+        if m is None and c <= a:
             raise SamplingError("aperture segments overlap; wires too close to the beam edge")
-        if exact:
-            m = max(1, int(round((c - a) / target)))
-        else:
-            m = max(1, int(np.ceil((c - a) / target)))
+        m = m or max(1, int(np.ceil((c - a) / dx_gap)))
         xs.append(np.linspace(a, c, m + 1)[1:])
-    return np.concatenate(xs)
+        shares.append(np.broadcast_to(share, m))
+    return np.concatenate(xs), np.concatenate(shares)
 
 
-def _strip_amplitudes(config: ExperimentConfig, x: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """``base`` on the wire strips, half its value on their edges, zero elsewhere."""
-    inside = np.zeros(x.shape, dtype=bool)
-    on_edge = np.zeros(x.shape, dtype=bool)
-    for lo, hi in _strip_bounds(config):
-        inside |= (x > lo) & (x < hi)
-        on_edge |= np.isclose(x, lo, rtol=0.0, atol=1e-15) | np.isclose(
-            x, hi, rtol=0.0, atol=1e-15
-        )
-    inside &= ~on_edge
-    amp = np.where(inside, base, 0.0)
-    amp[on_edge] = base[on_edge] / 2.0
-    return amp
+def _fringe_samples(config: ExperimentConfig, max_sin_theta: float) -> tuple[np.ndarray, ...]:
+    """Aperture nodes, their strip shares and the fringe field cos(pi x / d);
+    the gaps get 10 samples per integrand oscillation at ``max_sin_theta``
+    and at least 64 per pitch."""
+    d = config.wire_pitch
+    x, share = _aperture_grid(config, min(config.wavelength / (10.0 * max_sin_theta), d / 64.0))
+    return x, share, np.cos(np.pi * x / d)
 
 
 def fringe_field_profile(config: ExperimentConfig, *, max_sin_theta: float = 0.02) -> FieldProfile:
@@ -259,14 +244,11 @@ def fringe_field_profile(config: ExperimentConfig, *, max_sin_theta: float = 0.0
     The two beams produce amplitude fringes of period twice the intensity
     fringe spacing; with the wires centred on consecutive dark fringes at
     +-pitch/2, +-3*pitch/2, ... the field is cos(pi x / d), which vanishes
-    exactly at every wire centre.
-
-    ``max_sin_theta`` sets the gap sampling so the profile supports far-field
-    evaluation out to that angle (10 samples per integrand oscillation).
+    exactly at every wire centre.  ``max_sin_theta`` is the largest angle
+    the profile's sampling supports in a far-field transform.
     """
-    d = config.wire_pitch
-    x = _aperture_grid(config, min(config.wavelength / (10.0 * max_sin_theta), d / 64.0))
-    return FieldProfile(x, np.cos(np.pi * x / d), config.wavelength)
+    x, _, field = _fringe_samples(config, max_sin_theta)
+    return FieldProfile(x, field, config.wavelength)
 
 
 def wire_strip_complement_profile(
@@ -277,16 +259,19 @@ def wire_strip_complement_profile(
     It shares the grid of ``fringe_field_profile``; subtracting it from that
     profile node-for-node gives the field with the strips blacked out.
     """
-    full = fringe_field_profile(config, max_sin_theta=max_sin_theta)
-    x = full.x_samples
-    return FieldProfile(x, _strip_amplitudes(config, x, full.amplitude_samples), config.wavelength)
+    x, share, field = _fringe_samples(config, max_sin_theta)
+    # where() keeps the off-strip zeros positive, as share * field would not
+    return FieldProfile(x, np.where(share > 0.0, share * field, 0.0), config.wavelength)
 
 
 # ---------------------------------------------------------------------------
 # Fourier-integral oracle
 # ---------------------------------------------------------------------------
 
-def _transform(x: np.ndarray, amp: np.ndarray, q: np.ndarray, chunk: int = 256) -> np.ndarray:
+_KERNEL_ROWS = 256
+
+
+def _transform(x: np.ndarray, amp: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Trapezoid quadrature of the aperture integral for each q.
 
     The trapezoid weights are folded into the amplitude once and nodes whose
@@ -295,7 +280,7 @@ def _transform(x: np.ndarray, amp: np.ndarray, q: np.ndarray, chunk: int = 256) 
     F(-q) = conj F(q): the kernel is built once per distinct |q| and each
     q < 0 takes the conjugate, which halves the work on a grid that negates
     bit-exactly (``symmetric_grid``).  The complex exponential is split into
-    real cosine and sine products; chunks of ``chunk`` rows bound the
+    real cosine and sine products; chunks of ``_KERNEL_ROWS`` rows bound the
     kernel's memory.
     """
     dx = np.diff(x)
@@ -305,9 +290,9 @@ def _transform(x: np.ndarray, amp: np.ndarray, q: np.ndarray, chunk: int = 256) 
     xs, wa = x[support], wa[support]
     magnitude, mirror = np.unique(np.abs(q), return_inverse=True)
     rows = np.empty(magnitude.shape, dtype=complex)
-    for i in range(0, len(magnitude), chunk):
-        phase = np.outer(magnitude[i : i + chunk], xs)
-        rows[i : i + chunk] = np.cos(phase) @ wa - 1j * (np.sin(phase) @ wa)
+    for i in range(0, len(magnitude), _KERNEL_ROWS):
+        phase = np.outer(magnitude[i : i + _KERNEL_ROWS], xs)
+        rows[i : i + _KERNEL_ROWS] = np.cos(phase) @ wa - 1j * (np.sin(phase) @ wa)
     out = rows[mirror]
     return np.where(q < 0, out.conj(), out)
 

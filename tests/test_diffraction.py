@@ -29,7 +29,6 @@ from wiregrid.diffraction import (
     _aperture_grid,
     _single_beam_amplitude,
     _single_beam_theta_grid,
-    _strip_amplitudes,
     _transform,
 )
 
@@ -193,6 +192,38 @@ def test_profiles_share_grid_and_add_exactly(reference_config):
     assert np.array_equal(masked + complement.amplitude_samples, full.amplitude_samples)
 
 
+@pytest.mark.parametrize("strip_sampling", ["gap_spacing", "fine"])
+@pytest.mark.parametrize(
+    "wire_count,b_over_d", [(6, None), (2, 1 / 32), (2, 1 / 3), (12, 1 / 32), (12, 1 / 3)]
+)
+def test_aperture_grid_marks_the_wire_strips(
+    reference_config, wire_count, b_over_d, strip_sampling
+):
+    # the grid lays out each strip itself: share 1 strictly inside, 1/2 on the
+    # two edge nodes at xc -+ b/2, 0 elsewhere; its trapezoid integral is the
+    # strip width M b behind _strip_total's Parseval total 2 pi M b
+    cfg = reference_config
+    if b_over_d is not None:
+        cfg = cfg.replace(
+            wire_count=wire_count, beam_side=(wire_count + 2) * D, wire_thickness=D * b_over_d
+        )
+    b = cfg.wire_thickness
+    dx_gap = {"gap_spacing": D / 64, "fine": b / 256}[strip_sampling]
+    x, share = _aperture_grid(cfg, dx_gap)
+    assert share.shape == x.shape
+    assert set(np.unique(share)) <= {0.0, 0.5, 1.0}
+    edges = np.sort([xc + side * b / 2 for xc in wire_centers(cfg) for side in (-1, 1)])
+    on_edge = share == 0.5
+    assert np.count_nonzero(on_edge) == 2 * wire_count
+    assert np.array_equal(x[on_edge], edges)
+    inside = np.zeros(x.shape, dtype=bool)
+    for xc in wire_centers(cfg):
+        inside |= (x > xc - b / 2) & (x < xc + b / 2)
+    assert np.array_equal(share == 1.0, inside)
+    assert np.all(share[~inside & ~on_edge] == 0.0)
+    assert np.trapezoid(share, x) == pytest.approx(wire_count * b, rel=1e-12, abs=0)
+
+
 def test_fringe_profile_angle_is_keyword_only(reference_config):
     # a stale positional grid flag must not be taken as an angle
     with pytest.raises(TypeError):
@@ -241,8 +272,9 @@ def test_transform_matches_dense_trapezoid(reference_config, monkeypatch, profil
     }[profile]
     q = 2 * math.pi / LAM * np.sin(np.linspace(-2.5e-3, 2.5e-3, 301))
     recorder = _OuterRecorder()
+    monkeypatch.setattr(wiregrid.diffraction, "_KERNEL_ROWS", 128)
     monkeypatch.setattr(wiregrid.diffraction, "np", recorder)
-    got = _transform(x, amp, q, chunk=128)
+    got = _transform(x, amp, q)
     monkeypatch.undo()
     want = _dense_transform(x, amp, q)
     assert got.dtype == complex and got.shape == q.shape
@@ -493,8 +525,7 @@ def test_single_beam_closed_form_matches_quadrature(reference_config, b_um):
     theta, s0 = _single_beam_theta_grid(cfg, min(5 * LAM / cfg.wire_thickness, 0.2))
     rel = np.arcsin(np.sin(theta[::32]) - s0)
     q = 2 * math.pi / LAM * np.sin(rel)
-    x = _aperture_grid(cfg, cfg.wire_thickness / 256)
-    on_strips = _strip_amplitudes(cfg, x, np.ones_like(x))
+    x, on_strips = _aperture_grid(cfg, cfg.wire_thickness / 256)
     strips = _single_beam_amplitude(cfg, q)
     masked = cfg.beam_side * np.sinc(q * cfg.beam_side / (2 * math.pi)) - strips
     numeric = far_field_amplitude(FieldProfile(x, on_strips, LAM), rel)
