@@ -24,14 +24,11 @@ from .budget import (
 from .complementarity import (
     ComplementarityReport,
     SweepRow,
-    VisibilityInputs,
     classical_whichway,
-    complementarity_report,
     fraction_report,
     grid_metrics,
     quantum_whichway,
     sweep_thickness,
-    visibility_from_intensities,
     visibility_lower_bound,
     worst_case_intensity_pair,
 )

@@ -197,9 +197,7 @@ def _two_beam_total(config: ExperimentConfig) -> float:
     over the strips, which is W x / 2 for the absorbed fraction x.
     """
     k = math.pi / config.wire_pitch
-    x = absorbed_fraction_formula(
-        config.wire_thickness, config.wire_pitch, config.wire_count, config.beam_side
-    )
+    x = absorbed_fraction_two_beams(config)
     return math.pi * config.beam_side * x / (4.0 * k * k)
 
 
@@ -208,21 +206,29 @@ def _strip_total(config: ExperimentConfig) -> float:
     return 2.0 * math.pi * config.wire_count * config.wire_thickness
 
 
+def _window_share(config: ExperimentConfig, intensity, total: float, window, axis: float) -> float:
+    """Share of the power ``total`` that ``intensity(q)`` puts in an angle window.
+
+    The window (theta_lo, theta_hi) maps to q = kappa (sin(theta) - axis),
+    measured from a beam axis at sin(theta) = axis, and its integral is
+    divided by the Parseval total, so no pattern is sampled.
+    """
+    kappa = 2.0 * math.pi / config.wavelength
+    lo, hi = window
+    q_lo, q_hi = kappa * (math.sin(lo) - axis), kappa * (math.sin(hi) - axis)
+    return _window_integral(intensity, q_lo, q_hi, config) / total
+
+
 def band_fraction(config: ExperimentConfig, theta_lo: float, theta_hi: float) -> float:
     """Share of the two-beam diffracted power between theta_lo and theta_hi.
 
     The window integral of ``two_beam_grid_intensity`` in q = kappa sin(theta)
-    over its Parseval total, so no pattern is sampled.
+    over its Parseval total.
     """
-    kappa = 2.0 * math.pi / config.wavelength
-
-    def intensity(q):
-        return _grid_intensity(np.abs(q), config)
-
-    power = _window_integral(
-        intensity, kappa * math.sin(theta_lo), kappa * math.sin(theta_hi), config
+    return _window_share(
+        config, lambda q: _grid_intensity(np.abs(q), config), _two_beam_total(config),
+        (theta_lo, theta_hi), 0.0,
     )
-    return power / _two_beam_total(config)
 
 
 def detector_capture_fraction(config: ExperimentConfig) -> float:
@@ -269,20 +275,13 @@ def single_beam_budget(config: ExperimentConfig) -> SingleBeamBudget:
     over its Parseval total.
     """
     y = coverage_fraction(config)
-    kappa = 2.0 * math.pi / config.wavelength
     s0 = math.sin(config.crossing_angle / 2.0)
     total = _strip_total(config)
-
-    def intensity(q):
-        return _single_beam_amplitude(config, q) ** 2
-
-    def fraction(window):
-        lo, hi = window
-        q_lo, q_hi = kappa * (math.sin(lo) - s0), kappa * (math.sin(hi) - s0)
-        return _window_integral(intensity, q_lo, q_hi, config) / total
-
     neg, pos = detector_windows(config)
-    f_own, f_wrong = fraction(pos), fraction(neg)
+    f_own, f_wrong = (
+        _window_share(config, lambda q: _single_beam_amplitude(config, q) ** 2, total, window, s0)
+        for window in (pos, neg)
+    )
     return SingleBeamBudget(
         blocked=y,
         own_detector_decrease=y * (2.0 - f_own),

@@ -258,10 +258,10 @@ def _cmd_metrics(config: ExperimentConfig) -> Report:
     y = coverage_fraction(config)
     report = fraction_report(x, y)
     area_mm2 = (config.beam_side * 1e3) ** 2
-    pair = worst_case_intensity_pair(x, y, config.photon_count, area_mm2)
+    i_min, i_max = worst_case_intensity_pair(x, y, config.photon_count, area_mm2)
     return Report({
         "fractions": {"absorbed": x, "covered": y},
-        "worst_case_intensities_per_mm2": {"i_min": pair.i_min, "i_max": pair.i_max},
+        "worst_case_intensities_per_mm2": {"i_min": i_min, "i_max": i_max},
         "report": report.as_dict(),
     })
 
@@ -288,10 +288,9 @@ def _cmd_sweep(config: ExperimentConfig, b_min=1.0, b_max=150.0, steps=150) -> R
         if not math.isfinite(b):
             raise positive_finite_error("wire_thickness", b)
     rows = sweep_thickness(config, np.linspace(b_min / 1e6, b_max / 1e6, steps))
+    b_um = np.linspace(b_min, b_max, steps).tolist()  # printed as typed, not as b * 1e6
     header = ["wire_thickness_um", *_SWEEP_COLUMNS]
-    table = [
-        [row.wire_thickness * 1e6, *(getattr(row, c) for c in _SWEEP_COLUMNS)] for row in rows
-    ]
+    table = [[b, *(getattr(row, c) for c in _SWEEP_COLUMNS)] for b, row in zip(b_um, rows)]
     return _table_report("sweep", header, table)
 
 

@@ -10,7 +10,7 @@ untouched, bounded below by 1 - 2x.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -26,37 +26,38 @@ from .errors import DomainError
 
 
 @dataclass(frozen=True)
-class VisibilityInputs:
-    """Extreme intensities of an interference pattern, arbitrary common scale."""
-
-    i_max: float
-    i_min: float
-
-    def __post_init__(self):
-        if not (self.i_max >= self.i_min >= 0.0) or self.i_max <= 0.0:
-            raise ValueError(
-                f"need i_max >= i_min >= 0 and i_max > 0, got "
-                f"i_max={self.i_max!r}, i_min={self.i_min!r}"
-            )
-
-
-@dataclass(frozen=True)
 class ComplementarityReport:
+    """V, K and K' with both duality sums and their verdicts.
+
+    Built from the three bounds alone: each must lie in [0, 1] (DomainError,
+    checked in the order K, K', V), and the sums K^2 + V^2 and K'^2 + V^2
+    and their verdicts follow from them, so ``dataclasses.replace``
+    recomputes them.
+    """
+
     visibility_lower: float
     quantum_whichway: float
     classical_whichway_lower: float
-    quantum_sum: float
-    classical_sum: float
-    quantum_inequality_satisfied: bool
-    classical_sum_below_two: bool
+    quantum_sum: float = field(init=False)
+    classical_sum: float = field(init=False)
+    quantum_inequality_satisfied: bool = field(init=False)
+    classical_sum_below_two: bool = field(init=False)
+
+    def __post_init__(self):
+        for name in ("quantum_whichway", "classical_whichway_lower", "visibility_lower"):
+            v = getattr(self, name)
+            if not (0.0 <= v <= 1.0):
+                raise DomainError(f"{name} must lie in [0, 1], got {v!r}")
+        v_sq = self.visibility_lower**2
+        quantum_sum = self.quantum_whichway**2 + v_sq
+        classical_sum = self.classical_whichway_lower**2 + v_sq
+        object.__setattr__(self, "quantum_sum", quantum_sum)
+        object.__setattr__(self, "classical_sum", classical_sum)
+        object.__setattr__(self, "quantum_inequality_satisfied", quantum_sum <= 1.0)
+        object.__setattr__(self, "classical_sum_below_two", classical_sum < 2.0)
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-
-def visibility_from_intensities(inputs: VisibilityInputs) -> float:
-    """(i_max - i_min) / (i_max + i_min)."""
-    return (inputs.i_max - inputs.i_min) / (inputs.i_max + inputs.i_min)
 
 
 def _require(ok, values, message: str) -> None:
@@ -66,52 +67,43 @@ def _require(ok, values, message: str) -> None:
         raise DomainError(f"{message}, got {float(bad)!r}")
 
 
-def _check_fractions(x, y) -> None:
-    _require((0.0 < y) & (y < 1.0), y, "covered fraction must lie in (0, 1)")
-    _require((0.0 <= x) & (x < 1.0), x, "absorbed fraction must lie in [0, 1)")
-
-
-def worst_case_intensity_pair(
-    absorbed: float, covered: float, photons: float, beam_area: float
-) -> VisibilityInputs:
-    """Flattest-pattern intensity pair consistent with the counts.
+def worst_case_intensity_pair(absorbed, covered, photons, beam_area):
+    """Flattest-pattern intensity pair (i_min, i_max) consistent with the counts.
 
     The absorbed photons fill thin boxes of total area covered*beam_area,
     everything else spreads over the remainder, so
     i_min = x N / (y A) and i_max = (1 - x) N / ((1 - y) A).
     Units of ``beam_area`` are the caller's choice; they cancel in the
-    visibility and set the scale of the reported intensities.
+    visibility and set the scale of the reported intensities.  Elementwise;
+    scalar fractions give floats.
     """
-    _check_fractions(absorbed, covered)
-    return VisibilityInputs(
-        i_max=(1.0 - absorbed) * photons / ((1.0 - covered) * beam_area),
-        i_min=absorbed * photons / (covered * beam_area),
-    )
+    x = np.asarray(absorbed, dtype=float)
+    y = np.asarray(covered, dtype=float)
+    _require((0.0 < y) & (y < 1.0), y, "covered fraction must lie in (0, 1)")
+    _require((0.0 <= x) & (x < 1.0), x, "absorbed fraction must lie in [0, 1)")
+    i_min = x * photons / (y * beam_area)
+    i_max = (1.0 - x) * photons / ((1.0 - y) * beam_area)
+    return (float(i_min), float(i_max)) if i_min.ndim == 0 else (i_min, i_max)
 
 
 def visibility_lower_bound(absorbed, covered):
     """Worst-case visibility from the absorbed (x) and covered (y) fractions.
 
-    Equals visibility_from_intensities of the worst-case pair, evaluated as
-    [(1-x)/(1-y) - x/y] / [(1-x)/(1-y) + x/y].  Requires the wires at the
-    minima to absorb at most their uniform share (x/y <= (1-x)/(1-y)),
-    otherwise the bound would go negative.  Elementwise; scalar fractions
-    give a float.
+    The visibility (i_max - i_min) / (i_max + i_min) of the worst-case pair
+    per unit photons and area, i_min = x/y and i_max = (1-x)/(1-y).
+    Requires the wires at the minima to absorb at most their uniform share
+    (x/y <= (1-x)/(1-y)), otherwise the bound would go negative.
+    Elementwise; scalar fractions give a float.
     """
-    x = np.asarray(absorbed, dtype=float)
-    y = np.asarray(covered, dtype=float)
-    _check_fractions(x, y)
-    i_max = (1.0 - x) / (1.0 - y)
-    i_min = x / y
-    over = i_min > i_max
+    i_min, i_max = worst_case_intensity_pair(absorbed, covered, 1.0, 1.0)
+    over = np.asarray(i_min > i_max)
     if over.any():
-        xb, yb = (np.broadcast_to(a, over.shape)[over][0] for a in (x, y))
+        xb, yb = (np.broadcast_to(a, over.shape)[over][0] for a in (absorbed, covered))
         raise DomainError(
             f"absorbed fraction x={xb:g} exceeds the uniform share for y={yb:g}; "
             f"the square-profile visibility bound would be negative"
         )
-    v = (i_max - i_min) / (i_max + i_min)
-    return float(v) if v.ndim == 0 else v
+    return (i_max - i_min) / (i_max + i_min)
 
 
 def classical_whichway(absorbed):
@@ -141,40 +133,16 @@ def quantum_whichway() -> float:
     return 0.0
 
 
-def complementarity_report(
-    quantum_k: float, classical_k: float, visibility: float
-) -> ComplementarityReport:
-    """Assemble both duality sums and their verdict flags."""
-    for name, v in (
-        ("quantum_k", quantum_k),
-        ("classical_k", classical_k),
-        ("visibility", visibility),
-    ):
-        if not (0.0 <= v <= 1.0):
-            raise DomainError(f"{name} must lie in [0, 1], got {v!r}")
-    quantum_sum = quantum_k**2 + visibility**2
-    classical_sum = classical_k**2 + visibility**2
-    return ComplementarityReport(
-        visibility_lower=visibility,
-        quantum_whichway=quantum_k,
-        classical_whichway_lower=classical_k,
-        quantum_sum=quantum_sum,
-        classical_sum=classical_sum,
-        quantum_inequality_satisfied=quantum_sum <= 1.0,
-        classical_sum_below_two=classical_sum < 2.0,
-    )
-
-
 def fraction_report(absorbed: float, covered: float) -> ComplementarityReport:
     """Report from the absorbed (x) and covered (y) fractions of the grid.
 
     K = 0 by symmetry, K' >= 1 - 2x and V >= the worst-case bound; a DomainError
     names the broken condition when x exceeds 1/2 or its uniform share.
     """
-    return complementarity_report(
-        quantum_k=quantum_whichway(),
-        classical_k=classical_whichway(absorbed),
-        visibility=visibility_lower_bound(absorbed, covered),
+    return ComplementarityReport(
+        quantum_whichway=quantum_whichway(),
+        classical_whichway_lower=classical_whichway(absorbed),
+        visibility_lower=visibility_lower_bound(absorbed, covered),
     )
 
 

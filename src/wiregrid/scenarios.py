@@ -12,12 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .budget import absorbed_fraction_two_beams, coverage_fraction
-from .complementarity import (
-    ComplementarityReport,
-    complementarity_report,
-    fraction_report,
-    quantum_whichway,
-)
+from .complementarity import ComplementarityReport, fraction_report, quantum_whichway
 from .config import ExperimentConfig
 
 
@@ -76,14 +71,18 @@ def evaluate_scenario(scenario: Scenario, config: ExperimentConfig) -> ScenarioR
             f"K' >= {report.classical_whichway_lower:.5f}; symmetric arms, K = 0"
         )
     elif scenario.output_beam_splitter:
-        report = complementarity_report(k_quantum, 0.0, 1.0)
+        report = ComplementarityReport(
+            quantum_whichway=k_quantum, classical_whichway_lower=0.0, visibility_lower=1.0
+        )
         rationale = (
             "output beam splitter at the crossing: total destructive interference "
             "leaves one detector silent (which one depends on the phase convention), "
             "so V = 1 is measured; the merged paths cannot be extrapolated, K' = 0; K = 0"
         )
     else:
-        report = complementarity_report(k_quantum, 1.0, 0.0)
+        report = ComplementarityReport(
+            quantum_whichway=k_quantum, classical_whichway_lower=1.0, visibility_lower=0.0
+        )
         rationale = (
             "bare crossed beams: V = 0 (unmeasured, assigned its floor); a click "
             "plus momentum conservation traces the path, K' = 1; identical arms, K = 0"

@@ -27,3 +27,10 @@ def reference_budget(reference_config):
 @pytest.fixture(scope="session")
 def reference_single_budget(reference_config):
     return single_beam_budget(reference_config)
+
+
+@pytest.fixture(scope="session")
+def pair_visibility():
+    """(i_max - i_min) / (i_max + i_min): V from an intensity pair, a route apart from
+    ``visibility_lower_bound``'s, which the tests compare with it."""
+    return lambda i_min, i_max: (i_max - i_min) / (i_max + i_min)

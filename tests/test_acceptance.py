@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from wiregrid import (
-    VisibilityInputs,
     absorbed_fraction_quadrature,
     absorbed_fraction_two_beams,
     band_fraction,
@@ -27,7 +26,6 @@ from wiregrid import (
     symmetric_grid,
     truth_table,
     two_beam_grid_intensity,
-    visibility_from_intensities,
     visibility_lower_bound,
     wire_strip_complement_profile,
     worst_case_intensity_pair,
@@ -59,18 +57,18 @@ def test_criterion_02_absorbed_fraction(reference_config):
     )
 
 
-def test_criterion_03_visibility_bound(reference_config):
+def test_criterion_03_visibility_bound(reference_config, pair_visibility):
     v = visibility_lower_bound(0.001240, 0.07529)
     ok_v = abs(v - 0.9699) <= 0.0005
-    pair = worst_case_intensity_pair(0.001240, 192 / 2550, 1_000_000, 2.55**2)
-    ok_min = abs(pair.i_min - 2_533) <= 1.0
-    ok_max = abs(pair.i_max - 166_103) <= 1.0
-    v_pair = visibility_from_intensities(VisibilityInputs(pair.i_max, pair.i_min))
+    i_min, i_max = worst_case_intensity_pair(0.001240, 192 / 2550, 1_000_000, 2.55**2)
+    ok_min = abs(i_min - 2_533) <= 1.0
+    ok_max = abs(i_max - 166_103) <= 1.0
+    v_pair = pair_visibility(i_min, i_max)
     report(
         3,
         ok_v and ok_min and ok_max,
-        f"V = {v:.5f} (0.9699 +- 0.0005); I_min = {pair.i_min:.1f} (2533 +- 1), "
-        f"I_max = {pair.i_max:.1f} (166103 +- 1), pair visibility {v_pair:.5f}",
+        f"V = {v:.5f} (0.9699 +- 0.0005); I_min = {i_min:.1f} (2533 +- 1), "
+        f"I_max = {i_max:.1f} (166103 +- 1), pair visibility {v_pair:.5f}",
     )
 
 

@@ -1,23 +1,23 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wiregrid import (
+    ComplementarityReport,
     ConfigError,
     DomainError,
     ExperimentConfig,
     SweepRow,
-    VisibilityInputs,
     absorbed_fraction_two_beams,
     classical_whichway,
-    complementarity_report,
     coverage_fraction,
     fraction_report,
     grid_metrics,
     quantum_whichway,
     sweep_thickness,
-    visibility_from_intensities,
     visibility_lower_bound,
     worst_case_intensity_pair,
 )
@@ -32,36 +32,30 @@ BENCH_Y = 0.07529
 # visibility
 # ---------------------------------------------------------------------------
 
-def test_visibility_benchmark_intensities():
-    v = visibility_from_intensities(VisibilityInputs(i_max=166_103, i_min=2_533))
-    assert v == pytest.approx(0.96996, abs=5e-6)
+def test_visibility_benchmark_intensities(pair_visibility):
+    assert pair_visibility(2_533, 166_103) == pytest.approx(0.96996, abs=5e-6)
 
 
-def test_visibility_uniform_and_perfect_nulls():
-    assert visibility_from_intensities(VisibilityInputs(i_max=3.0, i_min=3.0)) == 0.0
-    assert visibility_from_intensities(VisibilityInputs(i_max=5.0, i_min=0.0)) == 1.0
-
-
-def test_visibility_inputs_validated():
-    with pytest.raises(ValueError):
-        VisibilityInputs(i_max=1.0, i_min=2.0)
-    with pytest.raises(ValueError):
-        VisibilityInputs(i_max=0.0, i_min=0.0)
+def test_visibility_uniform_and_perfect_nulls(pair_visibility):
+    assert pair_visibility(3.0, 3.0) == 0.0
+    assert pair_visibility(0.0, 5.0) == 1.0
 
 
 @given(
-    i_max=st.floats(min_value=1e-6, max_value=1e6),
-    ratio=st.floats(min_value=0.0, max_value=1.0),
-    scale=st.floats(min_value=1e-3, max_value=1e3),
+    y=st.floats(min_value=1e-4, max_value=0.9),
+    frac=st.floats(min_value=0.0, max_value=1.0),
+    photons=st.floats(min_value=1.0, max_value=1e9),
+    beam_area=st.floats(min_value=1e-3, max_value=1e3),
 )
 @settings(max_examples=100, deadline=None)
-def test_visibility_scale_invariance_and_range(i_max, ratio, scale):
-    i_min = i_max * ratio
-    v = visibility_from_intensities(VisibilityInputs(i_max, i_min))
+def test_visibility_scale_invariance_and_range(pair_visibility, y, frac, photons, beam_area):
+    # photons and beam area scale both intensities alike, so V does not see them
+    x = y * frac * 0.999
+    v = visibility_lower_bound(x, y)
     assert 0.0 <= v <= 1.0
-    v_scaled = visibility_from_intensities(VisibilityInputs(i_max * scale, i_min * scale))
+    v_scaled = pair_visibility(*worst_case_intensity_pair(x, y, photons, beam_area))
     assert v_scaled == pytest.approx(v, rel=1e-12)
-    if i_min == 0.0:
+    if x == 0.0:
         assert v == 1.0
 
 
@@ -69,9 +63,9 @@ def test_worst_case_pair_reproduces_benchmark_counts():
     # 1,240 absorbed photons spread over the strip area, the rest elsewhere,
     # per square millimetre of a 2.55 mm square beam
     area_mm2 = 2.55**2
-    pair = worst_case_intensity_pair(BENCH_X, 192 / 2550, 1_000_000, area_mm2)
-    assert pair.i_min == pytest.approx(2_533, abs=1)
-    assert pair.i_max == pytest.approx(166_103, abs=1)
+    i_min, i_max = worst_case_intensity_pair(BENCH_X, 192 / 2550, 1_000_000, area_mm2)
+    assert i_min == pytest.approx(2_533, abs=1)
+    assert i_max == pytest.approx(166_103, abs=1)
     # strip and remainder areas behind those numbers
     assert (192 / 2550) * area_mm2 == pytest.approx(0.4896, rel=1e-12)
     assert (1 - 192 / 2550) * area_mm2 == pytest.approx(6.0129, rel=1e-12)
@@ -101,13 +95,11 @@ def test_visibility_lower_bound_domain_errors():
     frac=st.floats(min_value=0.0, max_value=1.0),
 )
 @settings(max_examples=100, deadline=None)
-def test_round_trip_with_intensity_formula(y, frac):
+def test_round_trip_with_intensity_formula(pair_visibility, y, frac):
     # bound equals the visibility of the worst-case intensity pair, exactly
     x = y * frac * 0.999
     v_bound = visibility_lower_bound(x, y)
-    v_pair = visibility_from_intensities(
-        VisibilityInputs(i_max=(1 - x) / (1 - y), i_min=x / y)
-    )
+    v_pair = pair_visibility(x / y, (1 - x) / (1 - y))
     assert v_bound == v_pair
 
 
@@ -142,8 +134,14 @@ def test_quantum_whichway_constant_zero():
 # report
 # ---------------------------------------------------------------------------
 
+def _report(k, k_classical, v):
+    return ComplementarityReport(
+        quantum_whichway=k, classical_whichway_lower=k_classical, visibility_lower=v
+    )
+
+
 def test_report_benchmark_numbers():
-    report = complementarity_report(0.0, 0.99752, 0.96996)
+    report = _report(0.0, 0.99752, 0.96996)
     assert report.quantum_sum == pytest.approx(0.9408, abs=1e-4)
     assert report.classical_sum == pytest.approx(1.9358, abs=1e-3)
     assert report.quantum_inequality_satisfied
@@ -151,20 +149,52 @@ def test_report_benchmark_numbers():
 
 
 def test_report_no_measurement_case():
-    report = complementarity_report(0.0, 1.0, 0.0)
+    report = _report(0.0, 1.0, 0.0)
     assert report.quantum_sum == 0.0
     assert report.classical_sum == 1.0
 
 
 def test_report_delayed_choice_limit():
-    report = complementarity_report(0.0, 0.0, 1.0)
+    report = _report(0.0, 0.0, 1.0)
     assert report.quantum_sum == 1.0
     assert report.classical_sum == 1.0
 
 
 def test_report_validates_ranges():
-    with pytest.raises(DomainError):
-        complementarity_report(1.5, 0.0, 0.0)
+    bounds = dict(quantum_whichway=0.0, classical_whichway_lower=0.5, visibility_lower=0.5)
+    for bad in (1.5, -0.01, float("nan")):
+        for name in bounds:
+            with pytest.raises(DomainError, match=rf"^{name} must lie in \[0, 1\], got {bad!r}$"):
+                ComplementarityReport(**(bounds | {name: bad}))
+            with pytest.raises(DomainError, match=f"^{name}"):
+                dataclasses.replace(ComplementarityReport(**bounds), **{name: bad})
+        # checked in the order K, K', V
+        with pytest.raises(DomainError, match="^quantum_whichway"):
+            _report(bad, bad, bad)
+        with pytest.raises(DomainError, match="^classical_whichway_lower"):
+            _report(0.0, bad, bad)
+
+
+@pytest.mark.parametrize(
+    "k,k_classical,v",
+    [(0.0, 0.99752, 0.96996), (0.6, 0.3, 0.8), (0.8, 1.0, 0.9), (0.0, 1.0, 1.0)],
+)
+def test_report_derives_its_sums_and_verdicts(k, k_classical, v):
+    report = _report(k, k_classical, v)
+    assert report.quantum_sum == k**2 + v**2
+    assert report.classical_sum == k_classical**2 + v**2
+    assert report.quantum_inequality_satisfied is (k**2 + v**2 <= 1.0)
+    assert report.classical_sum_below_two is (k_classical**2 + v**2 < 2.0)
+    # a changed bound carries its own sums and verdicts, never the old ones
+    moved = dataclasses.replace(report, visibility_lower=0.1)
+    assert moved == _report(k, k_classical, 0.1)
+    assert moved.quantum_sum == k**2 + 0.1**2
+    assert moved.classical_sum == k_classical**2 + 0.1**2
+    with pytest.raises(TypeError):
+        ComplementarityReport(
+            visibility_lower=v, quantum_whichway=k, classical_whichway_lower=k_classical,
+            quantum_sum=0.0,
+        )
 
 
 def test_grid_metrics_reference_config(reference_config):
@@ -297,6 +327,7 @@ def test_scalar_pipeline_returns_plain_python_types(reference_config):
     assert type(absorbed_fraction_formula(32e-6, 319e-6, 6, 2.55e-3)) is float
     assert type(visibility_lower_bound(BENCH_X, BENCH_Y)) is float
     assert type(classical_whichway(BENCH_X)) is float
+    assert [type(i) for i in worst_case_intensity_pair(BENCH_X, BENCH_Y, 1e6, 6.5)] == [float] * 2
     report = grid_metrics(reference_config)
     for name, value in report.as_dict().items():
         assert type(value) in (float, bool), name
