@@ -11,6 +11,7 @@ untouched, bounded below by 1 - 2x.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -48,9 +49,8 @@ class ComplementarityReport:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise DomainError(f"{name} must lie in [0, 1], got {v!r}")
-        v_sq = self.visibility_lower**2
-        quantum_sum = self.quantum_whichway**2 + v_sq
-        classical_sum = self.classical_whichway_lower**2 + v_sq
+        quantum_sum = _duality_sum(self.quantum_whichway, self.visibility_lower)
+        classical_sum = _duality_sum(self.classical_whichway_lower, self.visibility_lower)
         object.__setattr__(self, "quantum_sum", quantum_sum)
         object.__setattr__(self, "classical_sum", classical_sum)
         object.__setattr__(self, "quantum_inequality_satisfied", quantum_sum <= 1.0)
@@ -58,6 +58,11 @@ class ComplementarityReport:
 
     def as_dict(self) -> dict:
         return asdict(self)
+
+
+def _duality_sum(whichway, visibility):
+    """K^2 + V^2 for a which-way bound K and a visibility V, elementwise."""
+    return whichway**2 + visibility**2
 
 
 def _require(ok, values, message: str) -> None:
@@ -178,8 +183,9 @@ def sweep_thickness(config: ExperimentConfig, b_values) -> list[SweepRow]:
     ``b_values`` must be non-empty and sorted strictly ascending (ValueError)
     and lie between thicknesses the config could hold (ConfigError from
     ``check_wire_thickness``); rows where the absorbed fraction exceeds 1/2
-    are marked out-of-domain instead of raising.  Every column is computed
-    in one elementwise pass, and the rows in one pass over their values.
+    are marked out-of-domain instead of raising.  x rises with b, so the
+    in-domain rows lead: the classical columns cover them alone, padded with
+    None, and each row is a tuple of SweepRow's fields in order.
     """
     b = np.fromiter(b_values, dtype=float)
     if not b.size:
@@ -191,11 +197,11 @@ def sweep_thickness(config: ExperimentConfig, b_values) -> list[SweepRow]:
     x = absorbed_fraction_formula(b, config.wire_pitch, config.wire_count, config.beam_side)
     y = _coverage_formula(b, config.wire_count, config.beam_side)
     v = visibility_lower_bound(x, y)
-    in_domain = x <= 0.5
-    k = np.full_like(x, np.nan)
-    k[in_domain] = classical_whichway(x[in_domain])
-    v_sq, k_sq = v * v, k * k
-    classical = (np.where(in_domain, c, None) for c in (k, k_sq, k_sq + v_sq))
-    note = np.where(in_domain, "", "absorbed fraction exceeds 1/2; classical bound undefined")
-    columns = (b, x, y, v, v_sq, quantum_whichway() ** 2 + v_sq, *classical, in_domain, note)
-    return list(map(SweepRow._make, zip(*(c.tolist() for c in columns))))
+    m = int(np.count_nonzero(x <= 0.5))
+    k = classical_whichway(x[:m])  # raises if the in-domain rows were not a prefix
+    pad = [None] * (b.size - m)
+    note = "absorbed fraction exceeds 1/2; classical bound undefined"
+    columns = [c.tolist() for c in (b, x, y, v, v * v, _duality_sum(quantum_whichway(), v))]
+    columns += [c.tolist() + pad for c in (k, k * k, _duality_sum(k, v[:m]))]
+    columns += [[True] * m + [False] * len(pad), [""] * m + [note] * len(pad)]
+    return list(map(tuple.__new__, repeat(SweepRow), zip(*columns)))

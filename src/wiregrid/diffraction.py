@@ -100,9 +100,10 @@ def _array_factor(v: np.ndarray, wire_count: int) -> np.ndarray:
     Successive dark fringes carry opposite field slopes, so the pairs at
     +-pitch/2, +-3*pitch/2, ... enter with alternating sign.
     """
-    out = np.zeros_like(v)
-    for n in range(1, wire_count // 2 + 1):
-        out += (-1.0) ** (n - 1) * np.sin((2 * n - 1) * v)
+    out = np.sin(v)
+    for m in range(3, wire_count, 2):
+        term = np.sin(m * v)
+        out = out + term if m % 4 == 1 else out - term
     return out
 
 

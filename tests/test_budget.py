@@ -11,6 +11,7 @@ from wiregrid import (
     ExperimentConfig,
     absorbed_fraction_quadrature,
     absorbed_fraction_two_beams,
+    band_fraction,
     coverage_fraction,
     crosscheck,
     detector_capture_fraction,
@@ -23,7 +24,7 @@ from wiregrid.budget import (
     PhotonBudget,
     _strip_total,
     _two_beam_total,
-    _window_integral,
+    _window_integrals,
     absorbed_fraction_formula,
 )
 from wiregrid.diffraction import _grid_intensity, _single_beam_amplitude
@@ -306,7 +307,7 @@ def test_window_integrals_match_dense_trapezoid(reference_config, b_um):
             q_lo, q_hi = KAPPA * (math.sin(lo) - shift), KAPPA * (math.sin(hi) - shift)
             q = np.linspace(q_lo, q_hi, 200_001)
             dense[name, side] = np.trapezoid(intensity(q), q)
-            quad = _window_integral(intensity, q_lo, q_hi, cfg)
+            quad = _window_integrals(intensity, [(q_lo, q_hi)], cfg)[0]
             assert quad == pytest.approx(dense[name, side], rel=1e-6, abs=0)
     f_det = (dense["two", "neg"] + dense["two", "pos"]) / _two_beam_total(cfg)
     assert detector_capture_fraction(cfg) == pytest.approx(f_det, rel=1e-6)
@@ -314,6 +315,33 @@ def test_window_integrals_match_dense_trapezoid(reference_config, b_um):
     f_own, f_wrong = (dense["strip", side] / _strip_total(cfg) for side in ("pos", "neg"))
     assert single.own_detector_decrease == pytest.approx(single.blocked * (2 - f_own), rel=1e-6)
     assert single.wrong_detector == pytest.approx(single.blocked * f_wrong, rel=1e-6)
+
+
+BATCHED_WINDOW_CONFIGS = [
+    ExperimentConfig(),
+    ExperimentConfig(wire_count=2, beam_side=1.0e-3),
+    ExperimentConfig(wire_count=12, beam_side=4.2e-3),
+]
+
+
+@pytest.mark.parametrize("cfg", BATCHED_WINDOW_CONFIGS, ids=["reference", "M2", "M12"])
+def test_batched_windows_equal_one_window_route(cfg):
+    # both detector windows share one intensity call; each must come out
+    # bit-for-bit as if integrated alone
+    neg, pos = detector_windows(cfg)
+    assert detector_capture_fraction(cfg) == band_fraction(cfg, *neg) + band_fraction(cfg, *pos)
+    kappa, s0 = 2 * math.pi / cfg.wavelength, math.sin(cfg.crossing_angle / 2)
+
+    def q(theta):
+        return kappa * (math.sin(theta) - s0)
+
+    f_own, f_wrong = (
+        _window_integrals(_strip_intensity_q(cfg), [(q(lo), q(hi))], cfg)[0] / _strip_total(cfg)
+        for lo, hi in (pos, neg)
+    )
+    single = single_beam_budget(cfg)
+    assert single.own_detector_decrease == single.blocked * (2.0 - f_own)
+    assert single.wrong_detector == single.blocked * f_wrong
 
 
 # ---------------------------------------------------------------------------

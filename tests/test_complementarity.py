@@ -359,6 +359,21 @@ SWEEP_ROW_FIELDS = (
 )
 
 
+def test_dense_sweep_in_domain_rows_are_a_prefix():
+    # sweep_thickness computes the classical columns on the leading rows alone,
+    # relying on x rising with b; 1 nm steps across x = 1/2 (b near 237.85 um)
+    b = np.linspace(230e-6, 246e-6, 16001)
+    cfg = OUT_OF_DOMAIN_CONFIG
+    inside = absorbed_fraction_formula(b, cfg.wire_pitch, cfg.wire_count, cfg.beam_side) <= 0.5
+    m = int(np.count_nonzero(inside))
+    assert 0 < m < b.size
+    assert inside[:m].all() and not inside[m:].any()
+    flags = [True] * m + [False] * (b.size - m)
+    rows = sweep_thickness(cfg, b)
+    assert [row.in_domain for row in rows] == flags
+    assert [row.absorbed <= 0.5 for row in rows] == flags
+
+
 def test_sweep_row_fields_cover_the_cli_columns():
     assert set(SweepRow._fields) == {"wire_thickness", *cli._SWEEP_COLUMNS}
     assert SweepRow._field_defaults == {"note": ""}
