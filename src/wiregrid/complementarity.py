@@ -79,16 +79,15 @@ def worst_case_intensity_pair(absorbed, covered, photons, beam_area):
     everything else spreads over the remainder, so
     i_min = x N / (y A) and i_max = (1 - x) N / ((1 - y) A).
     Units of ``beam_area`` are the caller's choice; they cancel in the
-    visibility and set the scale of the reported intensities.  Elementwise;
-    scalar fractions give floats.
+    visibility and set the scale of the reported intensities.  Elementwise:
+    float fractions give floats and arrays give arrays.
     """
-    x = np.asarray(absorbed, dtype=float)
-    y = np.asarray(covered, dtype=float)
+    x, y = absorbed, covered
     _require((0.0 < y) & (y < 1.0), y, "covered fraction must lie in (0, 1)")
     _require((0.0 <= x) & (x < 1.0), x, "absorbed fraction must lie in [0, 1)")
     i_min = x * photons / (y * beam_area)
     i_max = (1.0 - x) * photons / ((1.0 - y) * beam_area)
-    return (float(i_min), float(i_max)) if i_min.ndim == 0 else (i_min, i_max)
+    return i_min, i_max
 
 
 def visibility_lower_bound(absorbed, covered):
@@ -98,7 +97,7 @@ def visibility_lower_bound(absorbed, covered):
     per unit photons and area, i_min = x/y and i_max = (1-x)/(1-y).
     Requires the wires at the minima to absorb at most their uniform share
     (x/y <= (1-x)/(1-y)), otherwise the bound would go negative.
-    Elementwise; scalar fractions give a float.
+    Elementwise; float fractions give a float.
     """
     i_min, i_max = worst_case_intensity_pair(absorbed, covered, 1.0, 1.0)
     over = np.asarray(i_min > i_max)
@@ -118,15 +117,13 @@ def classical_whichway(absorbed):
     accounting) another x is diffracted with no path information left; the
     rest reach the detector with momentum intact.  Beyond x = 1/2 the
     undeflected count is exhausted and the bound is undefined.  Elementwise;
-    a scalar fraction gives a float.
+    a float fraction gives a float.
     """
-    x = np.asarray(absorbed, dtype=float)
     _require(
-        (0.0 <= x) & (x <= 0.5), x,
+        (0.0 <= absorbed) & (absorbed <= 0.5), absorbed,
         "classical which-way bound needs absorbed fraction in [0, 1/2]",
     )
-    k = 1.0 - 2.0 * x
-    return float(k) if k.ndim == 0 else k
+    return 1.0 - 2.0 * absorbed
 
 
 def quantum_whichway() -> float:

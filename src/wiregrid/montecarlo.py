@@ -5,14 +5,15 @@ seed and indexed by the photon number (Philox 2x32 with 10 rounds, the
 standard Random123 construction), so tallies are bit-identical no matter
 how the photon range is chunked or parallelized.  One routine,
 ``_philox_words``, fills caller-given arrays with the photons' 64-bit words
-for both ``photon_uniforms`` and ``sample_fates``.  ``sample_fates`` splits
-the range into contiguous spans of fixed 2**15-photon chunks, at most one
-span per usable core and at least four chunks per span, and tallies the
-spans on threads.  Each span reuses one workspace for every chunk and
-tallies each photon by comparing its word with integer thresholds, which is
-exactly equivalent to comparing its 53-bit uniform with the cumulative fate
-probabilities.  Tallies add up over any partition of the photon range, so
-the counts depend neither on the chunking nor on the core count.
+for both ``photon_uniforms`` and ``sample_fates`` in about 48 numpy calls.
+``sample_fates`` splits the range into contiguous spans of fixed
+2**15-photon chunks, at most one span per usable core and at least four
+chunks per span, and tallies the spans on threads.  Each span reuses one
+workspace for every chunk and tallies each photon by comparing its word
+with integer thresholds, which is exactly equivalent to comparing its
+53-bit uniform with the cumulative fate probabilities.  Tallies add up over
+any partition of the photon range, so the counts depend neither on the
+chunking nor on the core count.
 """
 
 from __future__ import annotations
@@ -38,34 +39,47 @@ _SHIFT11 = np.uint64(11)
 # Photons per chunk: the working arrays of a chunk stay in cache.
 _CHUNK = 1 << 15
 # A span on its own thread pays for the thread and for handing the
-# interpreter lock back and forth around each of the ~60 numpy calls per
+# interpreter lock back and forth around each of the ~50 numpy calls per
 # chunk.  On a loaded 2-core host two threads over the four chunks of 10**5
 # photons ran slower than one, so no span gets fewer chunks than this.
 _MIN_SPAN_CHUNKS = 4
 
 
-def _philox_words(step, start: int, key: int, lo, hi, word) -> None:
-    """Fill word with the 64-bit Philox words of photons start + step under key.
+def _philox_words(scaled, start: int, key: int, lo, hi, word) -> None:
+    """Fill word with the 64-bit Philox words of photons start + i under key.
 
     Philox2x32-10 (Salmon et al., SC'11): the photon index is the counter
     (low word, high word), the key is the seed, and the first output word
-    is the high half of the result.  step, lo, hi and word are uint64 arrays
-    of one shape; lo and hi are scratch.
+    is the high half of the result.  scaled[i] is i times the multiplier M;
+    scaled, lo, hi and word are uint64 arrays of one shape, lo and hi are
+    scratch.  The range is split at each 2**32 counter edge, so the high
+    counter word is a constant, and round 10 is joined in its product.
     """
-    np.add(step, np.uint64(start), out=word)  # the photon index
-    np.bitwise_and(word, _MASK32, out=lo)
-    np.right_shift(word, _SHIFT32, out=hi)
+    edge = 2**32 - start % 2**32
+    if edge < len(word):
+        rest = len(word) - edge
+        _philox_words(scaled[:edge], start, key, lo[:edge], hi[:edge], word[:edge])
+        _philox_words(scaled[:rest], start + edge, key, lo[edge:], hi[edge:], word[edge:])
+        return
+    # round 1: (low counter word) * M < 2**64 is scaled + (start mod 2**32) * M
+    np.add(scaled, np.uint64(start % 2**32 * int(_PHILOX_M)), out=word)
+    np.right_shift(word, _SHIFT32, out=lo)
+    lo ^= np.uint64((start >> 32) ^ key)
+    np.bitwise_and(word, _MASK32, out=hi)
     k = np.uint64(key)
-    for _ in range(10):
+    for _ in range(8):
+        k = (k + _PHILOX_W) & _MASK32
         np.multiply(lo, _PHILOX_M, out=word)  # operands < 2^32, exact in uint64
         # word >> 32, hi and k are all below 2^32, so the new lo needs no mask
         np.right_shift(word, _SHIFT32, out=lo)
         lo ^= hi
         lo ^= k
         np.bitwise_and(word, _MASK32, out=hi)
-        k = (k + _PHILOX_W) & _MASK32
-    np.left_shift(lo, _SHIFT32, out=word)
-    word |= hi
+    # round 10: (new lo << 32) | new hi is the product xored by (hi ^ k) << 32
+    np.multiply(lo, _PHILOX_M, out=word)
+    hi ^= (k + _PHILOX_W) & _MASK32
+    hi <<= _SHIFT32
+    word ^= hi
 
 
 def _check_photon_range(seed: int, start: int, count: int) -> tuple[int, int, int]:
@@ -93,8 +107,9 @@ def _photon_words(seed: int, start: int, count: int) -> np.ndarray:
     """The 64-bit Philox words of photons [start, start + count) under seed."""
     seed, start, count = _check_photon_range(seed, start, count)
     lo, hi, word = (np.empty(count, dtype=np.uint64) for _ in range(3))
+    scaled = np.arange(count, dtype=np.uint64) * _PHILOX_M
     # only an empty range may start at 2**64, one past the last counter
-    _philox_words(np.arange(count, dtype=np.uint64), start % 2**64, seed, lo, hi, word)
+    _philox_words(scaled, start % 2**64, seed, lo, hi, word)
     return word
 
 
@@ -167,24 +182,26 @@ def _tally_span(seed: int, thresholds: list, begin: int, end: int) -> list[int]:
 
     One workspace of ``_CHUNK`` (or fewer) photons is allocated here and
     reused for every chunk of the span; a threshold of None counts every
-    photon.  The words are those of ``_photon_words(seed, begin, end - begin)``.
+    photon.  The other thresholds must ascend: each is counted on the words
+    at or above the one before it, so only the first reads the whole chunk.
+    The words are those of ``_photon_words(seed, begin, end - begin)``.
     """
     size = min(_CHUNK, end - begin)
-    step = np.arange(size, dtype=np.uint64)
+    scaled = np.arange(size, dtype=np.uint64) * _PHILOX_M
     lo, hi, word = np.empty((3, size), dtype=np.uint64)
-    mask = np.empty(size, dtype=bool)
     below = [0] * len(thresholds)
     for start in range(begin, end, _CHUNK):
         count = min(_CHUNK, end - start)
         if count < size:  # only the last chunk is short
-            step, lo, hi, word, mask = (a[:count] for a in (step, lo, hi, word, mask))
-        _philox_words(step, start, seed, lo, hi, word)
+            scaled, lo, hi, word = (a[:count] for a in (scaled, lo, hi, word))
+        _philox_words(scaled, start, seed, lo, hi, word)
+        tail = word
         for k, t in enumerate(thresholds):
             if t is None:
                 below[k] += count
             else:
-                np.less(word, t, out=mask)
-                below[k] += int(np.count_nonzero(mask))
+                tail = tail[tail >= t]
+                below[k] += count - len(tail)
     return below
 
 

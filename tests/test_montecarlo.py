@@ -54,6 +54,17 @@ def test_uniforms_in_unit_interval_and_unbiased():
     assert abs(u.var() - 1 / 12) < 0.001
 
 
+def philox_reference(key, index):
+    """Philox2x32-10 over Python ints, one photon at a time: the 64-bit word
+    of counter (index mod 2**32, index >> 32) under key."""
+    lo, hi = index & 0xFFFFFFFF, index >> 32
+    for _ in range(10):
+        product = lo * 0xD256D193
+        lo, hi = (product >> 32) ^ hi ^ key, product & 0xFFFFFFFF
+        key = (key + 0x9E3779B9) & 0xFFFFFFFF
+    return (lo << 32) | hi
+
+
 @pytest.mark.parametrize(
     "counter,key,expected",
     [
@@ -65,8 +76,20 @@ def test_uniforms_in_unit_interval_and_unbiased():
 def test_philox_matches_random123_known_answers(counter, key, expected):
     # the photon index is the counter (low word, high word); the word holds
     # the first output word in its high half
-    word = int(_photon_words(key, (counter[1] << 32) | counter[0], 1)[0])
-    assert (word >> 32, word & 0xFFFFFFFF) == expected
+    index = (counter[1] << 32) | counter[0]
+    for word in (int(_photon_words(key, index, 1)[0]), philox_reference(key, index)):
+        assert (word >> 32, word & 0xFFFFFFFF) == expected
+
+
+@pytest.mark.parametrize(
+    "start,count",
+    [(0, 5), (2**32 - 1, 977), (2**32 - 976, 977), (2**33 - 5, 10), (2**64 - 6, 6)],
+    ids=["origin", "edge-after-first", "edge-before-last", "second-edge", "last-counter"],
+)
+def test_words_match_reference_across_counter_edges(start, count):
+    seed = 3_764_114_740
+    expected = [philox_reference(seed, start + i) for i in range(count)]
+    assert _photon_words(seed, start, count).tolist() == expected
 
 
 def test_uniforms_carry_the_philox_words():
@@ -383,6 +406,15 @@ def test_span_tally_matches_words_across_counter_edges(monkeypatch, begin, end, 
     word = _photon_words(3_764_114_740, begin, end - begin)
     expected = [end - begin, 0, *(int(np.count_nonzero(word < t)) for t in thresholds[2:])]
     assert _tally_span(3_764_114_740, thresholds, begin, end) == expected
+
+
+def test_span_tally_matches_reference_words_across_counter_edge(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_CHUNK", 977)
+    seed, begin, end = 3_764_114_740, 2**32 - 1_500, 2**32 + 1_500
+    thresholds = [None, np.uint64(0), np.uint64(2**62), np.uint64(2**63), np.uint64(2**64 - 2**11)]
+    words = [philox_reference(seed, i) for i in range(begin, end)]
+    expected = [end - begin, *(sum(w < int(t) for w in words) for t in thresholds[1:])]
+    assert _tally_span(seed, thresholds, begin, end) == expected
 
 
 # ---------------------------------------------------------------------------
