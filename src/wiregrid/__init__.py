@@ -23,12 +23,14 @@ from .budget import (
 )
 from .complementarity import (
     ComplementarityReport,
+    ScenarioReport,
     SweepRow,
     classical_whichway,
     fraction_report,
     grid_metrics,
     quantum_whichway,
     sweep_thickness,
+    truth_table,
     visibility_lower_bound,
     worst_case_intensity_pair,
 )
@@ -69,4 +71,3 @@ from .montecarlo import (
     photon_uniforms,
     sample_fates,
 )
-from .scenarios import BARE, GRID, SPLITTER, Scenario, ScenarioReport, evaluate_scenario, truth_table

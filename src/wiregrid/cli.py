@@ -29,14 +29,13 @@ from .budget import (
     single_beam_budget,
     two_beam_budget,
 )
-from .complementarity import fraction_report, sweep_thickness, worst_case_intensity_pair
+from .complementarity import fraction_report, sweep_thickness, truth_table, worst_case_intensity_pair
 from .config import (
     COUNT_FIELDS, DEFAULTS, LENGTH_FIELDS, ExperimentConfig, derive_geometry, positive_finite_error,
 )
 from .diffraction import detector_windows, symmetric_grid, two_beam_grid_intensity
 from .errors import ConfigError, ConfigParseError, DomainError, WiregridError
 from .montecarlo import estimate_metrics, sample_fates
-from .scenarios import truth_table
 
 LENGTH_UNITS = {"nm": 1e-9, "um": 1e-6, "mm": 1e-3, "m": 1.0}
 ANGLE_UNITS = {"rad": 1.0, "mrad": 1e-3}
@@ -304,7 +303,6 @@ def _cmd_simulate(config: ExperimentConfig, seed=0) -> Report:
 
 
 def _cmd_scenario(config: ExperimentConfig) -> Report:
-    labels = ("bare_beams", "wire_grid", "output_splitter")
     header = [
         "scenario",
         "grid",
@@ -318,13 +316,13 @@ def _cmd_scenario(config: ExperimentConfig) -> Report:
         "rationale",
     ]
     table = []
-    for label, sr in zip(labels, truth_table(config)):
+    for sr in truth_table(config):
         table.append(
             [
-                label,
-                sr.scenario.grid,
-                sr.scenario.output_beam_splitter,
-                sr.scenario.visibility_measured,
+                sr.scenario,
+                sr.grid,
+                sr.output_beam_splitter,
+                sr.visibility_measured,
                 sr.report.quantum_whichway,
                 sr.report.visibility_lower,
                 sr.report.classical_whichway_lower,

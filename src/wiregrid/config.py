@@ -161,10 +161,5 @@ def wire_centers(config: ExperimentConfig) -> list[float]:
     The wires sit at consecutive dark fringes of the crossed-beam field,
     at +-pitch/2, +-3*pitch/2, ... up to +-(wire_count-1)*pitch/2.
     """
-    d = config.wire_pitch
-    out = []
-    for n in range(1, config.wire_count // 2 + 1):
-        xc = (2 * n - 1) * d / 2.0
-        out.extend((-xc, +xc))
-    out.sort()
-    return out
+    m, d = config.wire_count, config.wire_pitch
+    return [(j - (m - 1) / 2) * d for j in range(m)]

@@ -343,6 +343,24 @@ def test_elementwise_bounds_name_the_first_bad_value():
         visibility_lower_bound(np.array([0.01, 0.5]), np.array([0.1, 0.1]))
 
 
+@pytest.mark.parametrize(
+    "bound, args, text",
+    [
+        (visibility_lower_bound, (0.01, 1.5), "covered fraction must lie in (0, 1)"),
+        (visibility_lower_bound, (1.5, 0.1), "absorbed fraction must lie in [0, 1)"),
+        (visibility_lower_bound, (0.5, 0.1), "exceeds the uniform share"),
+        (classical_whichway, (0.6,), "absorbed fraction in [0, 1/2]"),
+    ],
+)
+def test_scalar_and_one_element_bounds_raise_the_same_text(bound, args, text):
+    with pytest.raises(DomainError) as scalar:
+        bound(*args)
+    with pytest.raises(DomainError) as array:
+        bound(*(np.array([a]) for a in args))
+    assert text in str(scalar.value)
+    assert str(array.value) == str(scalar.value)
+
+
 # the field order of the frozen dataclass that SweepRow replaced
 SWEEP_ROW_FIELDS = (
     "wire_thickness",

@@ -114,3 +114,19 @@ def test_wire_centers_symmetric_and_on_half_pitch(reference_config):
     for c in centers:
         assert -c in centers
         assert abs(c) / d == pytest.approx(round(abs(c) / d - 0.5) + 0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "wire_count, wire_pitch, beam_side",
+    [(2, 300e-6, 0.72e-3), (4, 319e-6, 2.55e-3), (12, 319e-6, 5e-3), (40, 1.7e-4, 7e-3)],
+)
+def test_wire_centers_are_the_mirrored_odd_half_pitches(wire_count, wire_pitch, beam_side):
+    cfg = ExperimentConfig(
+        wire_count=wire_count, wire_pitch=wire_pitch, beam_side=beam_side, wire_thickness=1e-5
+    )
+    reference = []
+    for n in range(1, wire_count // 2 + 1):
+        xc = (2 * n - 1) * wire_pitch / 2.0
+        reference.extend((-xc, +xc))
+    reference.sort()
+    assert [c.hex() for c in wire_centers(cfg)] == [c.hex() for c in reference]
