@@ -17,7 +17,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -29,7 +29,9 @@ from .budget import (
     single_beam_budget,
     two_beam_budget,
 )
-from .complementarity import fraction_report, sweep_thickness, truth_table, worst_case_intensity_pair
+from .complementarity import (
+    SweepRow, fraction_report, sweep_thickness, truth_table, worst_case_intensity_pair,
+)
 from .config import (
     COUNT_FIELDS, DEFAULTS, LENGTH_FIELDS, ExperimentConfig, derive_geometry, positive_finite_error,
 )
@@ -219,36 +221,21 @@ def _cmd_pattern(config: ExperimentConfig, theta_range=10.0, samples=4001) -> Re
 
 def _cmd_budget(config: ExperimentConfig) -> Report:
     two = two_beam_budget(config)
-    single = single_beam_budget(config)
+    single = asdict(single_beam_budget(config))
     windows = detector_windows(config)
     n = config.photon_count
+    half_width = single.pop("detector_half_width")
+    single_counts = {name: fraction * n for name, fraction in single.items()}
     return Report({
         "detector_windows_rad": {
             "negative": list(windows[0]),
             "positive": list(windows[1]),
             "half_width": config.detector_half_width,
         },
-        "two_beam_fractions": {
-            "absorbed": two.absorbed,
-            "covered": two.covered,
-            "diffracted_total": two.absorbed,
-            "diffracted_to_detectors": two.diffracted_to_detectors,
-            "diffracted_away": two.diffracted_away,
-            "detected": two.detected,
-            "undisturbed_detected": two.undisturbed_detected,
-        },
+        "two_beam_fractions": asdict(two),
         "two_beam_counts": two.expected_counts(n),
-        "single_beam": {
-            "blocked": single.blocked,
-            "own_detector_decrease": single.own_detector_decrease,
-            "wrong_detector": single.wrong_detector,
-            "detector_half_width_rad": single.detector_half_width,
-        },
-        "single_beam_counts": {
-            "blocked": single.blocked * n,
-            "own_detector_decrease": single.own_detector_decrease * n,
-            "wrong_detector": single.wrong_detector * n,
-        },
+        "single_beam": {**single, "detector_half_width_rad": half_width},
+        "single_beam_counts": single_counts,
     })
 
 
@@ -265,32 +252,21 @@ def _cmd_metrics(config: ExperimentConfig) -> Report:
     })
 
 
-# SweepRow fields in table order, after the thickness in um
-_SWEEP_COLUMNS = (
-    "absorbed",
-    "covered",
-    "visibility_lower",
-    "classical_whichway_lower",
-    "visibility_sq",
-    "classical_sq",
-    "quantum_sum",
-    "classical_sum",
-    "in_domain",
-    "note",
-)
-
-
 def _cmd_sweep(config: ExperimentConfig, b_min=1.0, b_max=150.0, steps=150) -> Report:
     if steps < 1:
         raise DomainError("steps must be at least 1")
     for b in (b_min, b_max):  # before np.linspace spreads a nan or inf over the grid
         if not math.isfinite(b):
             raise positive_finite_error("wire_thickness", b)
+    if steps > 1 and not b_min < b_max:
+        raise DomainError(
+            f"--b-min must be below --b-max for more than one step, "
+            f"got --b-min {b_min:g}, --b-max {b_max:g}"
+        )
     rows = sweep_thickness(config, np.linspace(b_min / 1e6, b_max / 1e6, steps))
     b_um = np.linspace(b_min, b_max, steps).tolist()  # printed as typed, not as b * 1e6
-    header = ["wire_thickness_um", *_SWEEP_COLUMNS]
-    table = [[b, *(getattr(row, c) for c in _SWEEP_COLUMNS)] for b, row in zip(b_um, rows)]
-    return _table_report("sweep", header, table)
+    header = ["wire_thickness_um", *SweepRow._fields[1:]]
+    return _table_report("sweep", header, [[b, *row[1:]] for b, row in zip(b_um, rows)])
 
 
 def _cmd_simulate(config: ExperimentConfig, seed=0) -> Report:
@@ -304,33 +280,15 @@ def _cmd_simulate(config: ExperimentConfig, seed=0) -> Report:
 
 def _cmd_scenario(config: ExperimentConfig) -> Report:
     header = [
-        "scenario",
-        "grid",
-        "output_beam_splitter",
-        "visibility_measured",
-        "quantum_whichway",
-        "visibility",
-        "classical_whichway",
-        "quantum_sum",
-        "classical_sum",
-        "rationale",
+        "scenario", "grid", "output_beam_splitter", "visibility_measured", "quantum_whichway",
+        "visibility", "classical_whichway", "quantum_sum", "classical_sum", "rationale",
     ]
     table = []
     for sr in truth_table(config):
-        table.append(
-            [
-                sr.scenario,
-                sr.grid,
-                sr.output_beam_splitter,
-                sr.visibility_measured,
-                sr.report.quantum_whichway,
-                sr.report.visibility_lower,
-                sr.report.classical_whichway_lower,
-                sr.report.quantum_sum,
-                sr.report.classical_sum,
-                sr.rationale,
-            ]
-        )
+        # the row's own fields, then its report's, whose bounds print without "_lower"
+        values = {**sr._asdict(), "visibility_measured": sr.visibility_measured}
+        values.update((name.removesuffix("_lower"), v) for name, v in vars(sr.report).items())
+        table.append([values[c] for c in header])
     return _table_report("scenarios", header, table)
 
 

@@ -214,19 +214,20 @@ def truth_table(config: ExperimentConfig) -> list[ScenarioReport]:
 class SweepRow(NamedTuple):
     """One wire thickness in a sweep; bound columns are lower bounds.
 
-    ``classical_whichway_lower`` and the classical sum are None past the
-    half-absorption point, with the reason in ``note``.  A named tuple, so
-    ``row._asdict()`` gives the columns as a dict in field order.
+    ``classical_whichway_lower`` and the classical columns after it are None
+    past the half-absorption point, with the reason in ``note``.  The field
+    order is the ``sweep`` CSV column order, and ``row._asdict()`` is the
+    printed row (the CLI shows the thickness in um).
     """
 
     wire_thickness: float
     absorbed: float
     covered: float
     visibility_lower: float
-    visibility_sq: float
-    quantum_sum: float
     classical_whichway_lower: float | None
+    visibility_sq: float
     classical_sq: float | None
+    quantum_sum: float
     classical_sum: float | None
     in_domain: bool
     note: str = ""
@@ -256,7 +257,9 @@ def sweep_thickness(config: ExperimentConfig, b_values) -> list[SweepRow]:
     k = classical_whichway(x[:m])  # raises if the in-domain rows were not a prefix
     pad = [None] * (b.size - m)
     note = "absorbed fraction exceeds 1/2; classical bound undefined"
-    columns = [c.tolist() for c in (b, x, y, v, v * v, _duality_sum(quantum_whichway(), v))]
-    columns += [c.tolist() + pad for c in (k, k * k, _duality_sum(k, v[:m]))]
-    columns += [[True] * m + [False] * len(pad), [""] * m + [note] * len(pad)]
+    k, k_sq, k_sum = (c.tolist() + pad for c in (k, k * k, _duality_sum(k, v[:m])))
+    q_sum = _duality_sum(quantum_whichway(), v)
+    b, x, y, v, v_sq, q_sum = (c.tolist() for c in (b, x, y, v, v * v, q_sum))
+    in_domain, notes = [True] * m + [False] * len(pad), [""] * m + [note] * len(pad)
+    columns = (b, x, y, v, k, v_sq, k_sq, q_sum, k_sum, in_domain, notes)
     return list(map(tuple.__new__, repeat(SweepRow), zip(*columns)))

@@ -105,6 +105,11 @@ def check_wire_thickness(b: float, pitch: float) -> None:
         )
 
 
+def _is_number(value, types) -> bool:
+    """isinstance(value, types), but a bool is a flag and no number."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     """Check every invariant, returning the config unchanged if all hold.
 
@@ -114,16 +119,16 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     """
     for name in (*LENGTH_FIELDS, *ANGLE_FIELDS):
         value = getattr(config, name)
-        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+        if not (_is_number(value, (int, float)) and math.isfinite(value) and value > 0):
             raise positive_finite_error(name, value)
-    if not isinstance(config.wire_count, int) or config.wire_count < 2:
+    if not _is_number(config.wire_count, int) or config.wire_count < 2:
         raise ConfigError(f"wire_count must be an integer >= 2, got {config.wire_count!r}")
     if config.wire_count % 2 != 0:
         raise ConfigError(
             f"wire_count must be even so the grid is symmetric about the "
             f"pattern centre, got {config.wire_count}"
         )
-    if not isinstance(config.photon_count, int) or config.photon_count < 1:
+    if not _is_number(config.photon_count, int) or config.photon_count < 1:
         raise ConfigError(f"photon_count must be a positive integer, got {config.photon_count!r}")
     check_wire_thickness(config.wire_thickness, config.wire_pitch)
     if config.wire_count * config.wire_pitch > config.beam_side:

@@ -85,9 +85,12 @@ def _philox_words(scaled, start: int, key: int, lo, hi, word) -> None:
 def _check_photon_range(seed: int, start: int, count: int) -> tuple[int, int, int]:
     """(seed, start, count) as ints, or DomainError if they leave the generator's domain.
 
-    Each must be an integer (a Python or numpy int), not a float such as 1e6.
+    Each must be an integer (a Python or numpy int), not a float such as 1e6
+    or a bool.
     """
     try:
+        if any(isinstance(v, bool) for v in (seed, start, count)):
+            raise TypeError
         seed, start, count = (operator.index(v) for v in (seed, start, count))
     except TypeError:
         raise DomainError(

@@ -1,11 +1,14 @@
-"""The benchmark in ``perfbench/`` imports the package by name: keep those names alive.
+"""The benchmark in ``perfbench/`` imports the package by name and reads the
+CLI's JSON keys: keep those names alive.
 
 The probe and workloads are only run by the benchmark, so a renamed or
-removed public name would otherwise surface there and not in this suite.
+removed public name or printed key would otherwise surface there and not in
+this suite.
 """
 
 import ast
 import importlib.util
+import json
 from pathlib import Path
 
 import wiregrid
@@ -45,3 +48,32 @@ def test_perfbench_cli_attributes_exist():
     }
     assert {"run", "RunRequest", "emit_report"} <= used
     assert sorted(n for n in used if not hasattr(cli, n)) == []
+
+
+class _FailedChecks:
+    """Stands in for the benchmark's operation: collects the checks that fail."""
+
+    def __init__(self):
+        self.failed = []
+
+    def check(self, ok, what):
+        if not ok:
+            self.failed.append(what)
+
+
+def test_perfbench_output_checks_pass_in_process(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    seed = 20_250_101
+    failed = {}
+    for sub in workloads.SUBCOMMANDS:
+        options = {"seed": seed} if sub == "simulate" else {}
+        assert cli.run(cli.RunRequest(sub, options=options)) == 0, sub
+        doc = json.loads(capsys.readouterr().out)
+        op = _FailedChecks()
+        if sub == "simulate":
+            workloads._check_simulate(doc, op, seed)
+        else:
+            workloads._CHECKS[sub](doc, op)
+        failed[sub] = op.failed
+    assert failed == {sub: [] for sub in workloads.SUBCOMMANDS}

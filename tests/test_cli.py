@@ -215,6 +215,31 @@ def test_sweep_custom_range(tmp_path):
     assert [float(r[0]) for r in rows[1:]] == pytest.approx([10.0, 15.0, 20.0])
 
 
+def test_printed_column_orders_are_pinned(tmp_path):
+    # the printed orders follow the result types' fields, so reordering a type fails here
+    _, text = run_cli(tmp_path, "sweep", "--format", "csv", name="sweep.csv")
+    assert next(csv.reader(io.StringIO(text))) == [
+        "wire_thickness_um", "absorbed", "covered", "visibility_lower", "classical_whichway_lower",
+        "visibility_sq", "classical_sq", "quantum_sum", "classical_sum", "in_domain", "note",
+    ]
+    _, text = run_cli(tmp_path, "scenario", "--format", "csv", name="scenario.csv")
+    assert next(csv.reader(io.StringIO(text))) == [
+        "scenario", "grid", "output_beam_splitter", "visibility_measured", "quantum_whichway",
+        "visibility", "classical_whichway", "quantum_sum", "classical_sum", "rationale",
+    ]
+    _, text = run_cli(tmp_path, "budget", name="budget.json")
+    # no diffracted_total: it equals absorbed (Babinet accounting)
+    assert [(k, list(v)) for k, v in json.loads(text).items() if k != "config"] == [
+        ("detector_windows_rad", ["negative", "positive", "half_width"]),
+        ("two_beam_fractions", ["absorbed", "covered", "diffracted_to_detectors",
+                                "diffracted_away", "detected", "undisturbed_detected"]),
+        ("two_beam_counts", ["detected", "absorbed", "diffracted_away", "diffracted_to_detectors"]),
+        ("single_beam", ["blocked", "own_detector_decrease", "wrong_detector",
+                         "detector_half_width_rad"]),
+        ("single_beam_counts", ["blocked", "own_detector_decrease", "wrong_detector"]),
+    ]
+
+
 def test_simulate_deterministic_bytes(tmp_path):
     for command in ("pattern", "budget", "metrics", "sweep", "scenario", "validate", "simulate"):
         for fmt in ("json", "csv"):
@@ -380,6 +405,28 @@ def test_bad_sweep_thickness_is_the_configs_error(capsys, bound, message, fmt):
     with pytest.raises(ConfigError) as raised:
         ExperimentConfig().replace(wire_thickness=float(bound[1]) / 1e6)
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize(
+    "bounds,got",
+    [
+        (("--b-min", "150", "--b-max", "1"), "got --b-min 150, --b-max 1"),
+        (("--b-min", "5", "--b-max", "5", "--steps", "3"), "got --b-min 5, --b-max 5"),
+    ],
+    ids=["descending", "equal"],
+)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sweep_bounds_out_of_order_name_the_flags(capsys, bounds, got, fmt):
+    rc = main(["sweep", *bounds, "--format", fmt])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert (err["type"], err["message"]) == (
+        "DomainError", f"--b-min must be below --b-max for more than one step, {got}",
+    )
+    # one step needs no order: it is the thickness --b-min
+    assert main(["sweep", "--b-min", "5", "--b-max", "5", "--steps", "1"]) == 0
 
 
 @pytest.mark.parametrize("theta_range", ["0", "-1", "nan"])

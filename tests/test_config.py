@@ -39,6 +39,10 @@ def test_odd_wire_count_rejected():
         ("photon_count", 0, "positive integer"),
         ("crossing_angle", 0.2, "small-angle"),
         ("detector_half_width", 0.001, "overlap"),
+        # a bool is no number, though Python counts True as 1
+        ("wavelength", True, "positive finite length"),
+        ("detector_half_width", True, "positive finite angle"),
+        ("photon_count", True, "positive integer"),
     ],
 )
 def test_each_invariant_has_its_own_error(field, value, match):

@@ -298,12 +298,13 @@ def test_word_threshold_at_one_counts_every_word():
 def test_nonpositive_n_rejected():
     with pytest.raises(ValueError, match="positive"):
         sample_fates(make_budget(), 0, 0)
-    # a float is no photon count, seed or index, even an integral one
-    for n, seed in [(1e6, 0), (2.5, 0), (10, 3.0)]:
+    # a float or a bool is no photon count, seed or index, even an integral one
+    for n, seed in [(1e6, 0), (2.5, 0), (10, 3.0), (True, True), (10, False)]:
         with pytest.raises(DomainError, match="must be integers"):
             sample_fates(make_budget(), n, seed)
-    with pytest.raises(DomainError, match="must be integers"):
-        photon_uniforms(0, 1.0, 3)
+    for start in (1.0, True):
+        with pytest.raises(DomainError, match="must be integers"):
+            photon_uniforms(0, start, 3)
     # integral numpy ints still count and index photons
     assert sample_fates(make_budget(), np.int64(10), np.uint32(3)) == sample_fates(
         make_budget(), 10, 3
