@@ -28,6 +28,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .complementarity import absorbed_fraction_two_beams, coverage_fraction
 from .config import ExperimentConfig, derive_geometry, wire_centers
 from .diffraction import (
     FieldProfile,
@@ -123,36 +124,6 @@ class SingleBeamBudget:
                 raise ValueError(f"{name} must be a fraction in [0, 1], got {v!r}")
         if self.own_detector_decrease < self.blocked - 1e-12:
             raise ValueError("own_detector_decrease must include at least the blocked share")
-
-
-def _coverage_formula(b, wire_count: int, beam_side: float):
-    """M*b/W, elementwise in b."""
-    return wire_count * b / beam_side
-
-
-def coverage_fraction(config: ExperimentConfig) -> float:
-    """Fraction of the beam cross section covered by the wires, M*b/W."""
-    return _coverage_formula(config.wire_thickness, config.wire_count, config.beam_side)
-
-
-def absorbed_fraction_formula(b, d: float, wire_count: int, beam_side: float):
-    """Closed-form absorbed fraction for wires centred on dark fringes.
-
-    Integral of the squared fringe field over the strips, divided by the
-    beam-wide integral (average one half):
-    M * (b/2 - (d / 2 pi) sin(pi b / d)) / (W / 2).
-    Elementwise in b; a scalar b gives a float.
-    """
-    per_wire = b / 2.0 - (d / (2.0 * math.pi)) * np.sin(math.pi * b / d)
-    x = wire_count * per_wire / (beam_side / 2.0)
-    return float(x) if x.ndim == 0 else x
-
-
-def absorbed_fraction_two_beams(config: ExperimentConfig) -> float:
-    """Fraction of one arm's photons stopped by the wires with both beams on."""
-    return absorbed_fraction_formula(
-        config.wire_thickness, config.wire_pitch, config.wire_count, config.beam_side
-    )
 
 
 # Simpson nodes per wire strip; odd, so the panels pair up.

@@ -1,7 +1,9 @@
 """Command-line surface: config parsing, dispatch, CSV/JSON emission.
 
 Each subcommand computes a ``Report`` from the config and its options;
-``run`` alone picks the format, emits the report and writes it.
+``run`` alone picks the format, emits the report and writes it.  Each
+``_cmd_*`` imports the modules it runs, so a process loads only its
+subcommand's, and parsing, ``--version`` and config errors load no numpy.
 
 Exit codes: 0 success, 1 configuration or parse error, 2 numeric/domain
 error, 3 I/O error.  Errors are written to stderr as a one-line JSON
@@ -19,25 +21,11 @@ import re
 import sys
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from . import __version__
-from .budget import (
-    absorbed_fraction_two_beams,
-    coverage_fraction,
-    crosscheck,
-    single_beam_budget,
-    two_beam_budget,
-)
-from .complementarity import (
-    SweepRow, fraction_report, sweep_thickness, truth_table, worst_case_intensity_pair,
-)
 from .config import (
     COUNT_FIELDS, DEFAULTS, LENGTH_FIELDS, ExperimentConfig, derive_geometry, positive_finite_error,
 )
-from .diffraction import detector_windows, symmetric_grid, two_beam_grid_intensity
 from .errors import ConfigError, ConfigParseError, DomainError, WiregridError
-from .montecarlo import estimate_metrics, sample_fates
 
 LENGTH_UNITS = {"nm": 1e-9, "um": 1e-6, "mm": 1e-3, "m": 1.0}
 ANGLE_UNITS = {"rad": 1.0, "mrad": 1e-3}
@@ -204,8 +192,12 @@ def _table_report(key: str, header: list[str], table: list) -> Report:
 # ---------------------------------------------------------------------------
 
 def _cmd_pattern(config: ExperimentConfig, theta_range=10.0, samples=4001) -> Report:
+    from .diffraction import symmetric_grid, two_beam_grid_intensity
+
     if samples < 3:
         raise DomainError("samples must be at least 3")
+    if not (theta_range > 0 and math.isfinite(theta_range)):
+        raise DomainError(f"--theta-range must be positive and finite (mrad), got {theta_range:g}")
     theta = symmetric_grid(theta_range * 1e-3, samples)
     theta_rad = theta.tolist()
     intensity_rel = two_beam_grid_intensity(theta, config).tolist()
@@ -220,6 +212,9 @@ def _cmd_pattern(config: ExperimentConfig, theta_range=10.0, samples=4001) -> Re
 
 
 def _cmd_budget(config: ExperimentConfig) -> Report:
+    from .budget import single_beam_budget, two_beam_budget
+    from .diffraction import detector_windows
+
     two = two_beam_budget(config)
     single = asdict(single_beam_budget(config))
     windows = detector_windows(config)
@@ -240,6 +235,10 @@ def _cmd_budget(config: ExperimentConfig) -> Report:
 
 
 def _cmd_metrics(config: ExperimentConfig) -> Report:
+    from .complementarity import (
+        absorbed_fraction_two_beams, coverage_fraction, fraction_report, worst_case_intensity_pair,
+    )
+
     x = absorbed_fraction_two_beams(config)
     y = coverage_fraction(config)
     report = fraction_report(x, y)
@@ -253,6 +252,10 @@ def _cmd_metrics(config: ExperimentConfig) -> Report:
 
 
 def _cmd_sweep(config: ExperimentConfig, b_min=1.0, b_max=150.0, steps=150) -> Report:
+    import numpy as np
+
+    from .complementarity import SweepRow, sweep_thickness
+
     if steps < 1:
         raise DomainError("steps must be at least 1")
     for b in (b_min, b_max):  # before np.linspace spreads a nan or inf over the grid
@@ -263,13 +266,22 @@ def _cmd_sweep(config: ExperimentConfig, b_min=1.0, b_max=150.0, steps=150) -> R
             f"--b-min must be below --b-max for more than one step, "
             f"got --b-min {b_min:g}, --b-max {b_max:g}"
         )
-    rows = sweep_thickness(config, np.linspace(b_min / 1e6, b_max / 1e6, steps))
+    b_m = np.linspace(b_min / 1e6, b_max / 1e6, steps)
+    if (b_m[1:] <= b_m[:-1]).any():  # b_min < b_max, yet closer than the grid resolves
+        raise DomainError(
+            f"--b-min {b_min!r} and --b-max {b_max!r} are too close to split into "
+            f"--steps {steps} distinct thicknesses"
+        )
+    rows = sweep_thickness(config, b_m)
     b_um = np.linspace(b_min, b_max, steps).tolist()  # printed as typed, not as b * 1e6
     header = ["wire_thickness_um", *SweepRow._fields[1:]]
     return _table_report("sweep", header, [[b, *row[1:]] for b, row in zip(b_um, rows)])
 
 
 def _cmd_simulate(config: ExperimentConfig, seed=0) -> Report:
+    from .budget import two_beam_budget
+    from .montecarlo import estimate_metrics, sample_fates
+
     counts = sample_fates(two_beam_budget(config), config.photon_count, seed)
     metrics = estimate_metrics(counts, config)
     return Report({
@@ -279,6 +291,8 @@ def _cmd_simulate(config: ExperimentConfig, seed=0) -> Report:
 
 
 def _cmd_scenario(config: ExperimentConfig) -> Report:
+    from .complementarity import truth_table
+
     header = [
         "scenario", "grid", "output_beam_splitter", "visibility_measured", "quantum_whichway",
         "visibility", "classical_whichway", "quantum_sum", "classical_sum", "rationale",
@@ -293,6 +307,8 @@ def _cmd_scenario(config: ExperimentConfig) -> Report:
 
 
 def _cmd_validate(config: ExperimentConfig) -> Report:
+    from .budget import crosscheck
+
     checks = crosscheck(config)
     rows = [{"check": c.name, "passed": c.passed, "detail": c.detail} for c in checks]
     table = [[c.name, "pass" if c.passed else "FAIL", c.detail] for c in checks]

@@ -1,7 +1,8 @@
 """Fringe visibility, which-way information, and the duality inequalities.
 
 The wire grid absorbs a fraction x of each arm while covering a fraction y
-of the beam; spreading the absorbed photons over dark strips of wire width
+of the beam (both closed forms live here, next to the bounds that use
+them, so this module needs no pattern or budget); spreading the absorbed photons over dark strips of wire width
 and the rest uniformly elsewhere gives the flattest interference pattern
 consistent with the counts, hence a lower bound on the visibility.  The
 classical which-way parameter tracks photons whose momentum was provably
@@ -11,18 +12,13 @@ the bare beams and the output beam splitter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .budget import (
-    _coverage_formula,
-    absorbed_fraction_formula,
-    absorbed_fraction_two_beams,
-    coverage_fraction,
-)
 from .config import ExperimentConfig, check_wire_thickness
 from .errors import DomainError
 
@@ -71,6 +67,36 @@ def _require(ok, values, message: str) -> None:
     if ok is not True and not np.asarray(ok).all():
         bad = np.broadcast_to(values, np.shape(ok))[np.logical_not(ok)][0]
         raise DomainError(f"{message}, got {float(bad)!r}")
+
+
+def _coverage_formula(b, wire_count: int, beam_side: float):
+    """M*b/W, elementwise in b."""
+    return wire_count * b / beam_side
+
+
+def coverage_fraction(config: ExperimentConfig) -> float:
+    """Fraction of the beam cross section covered by the wires, M*b/W."""
+    return _coverage_formula(config.wire_thickness, config.wire_count, config.beam_side)
+
+
+def absorbed_fraction_formula(b, d: float, wire_count: int, beam_side: float):
+    """Closed-form absorbed fraction for wires centred on dark fringes.
+
+    Integral of the squared fringe field over the strips, divided by the
+    beam-wide integral (average one half):
+    M * (b/2 - (d / 2 pi) sin(pi b / d)) / (W / 2).
+    Elementwise in b; a scalar b gives a float.
+    """
+    per_wire = b / 2.0 - (d / (2.0 * math.pi)) * np.sin(math.pi * b / d)
+    x = wire_count * per_wire / (beam_side / 2.0)
+    return float(x) if x.ndim == 0 else x
+
+
+def absorbed_fraction_two_beams(config: ExperimentConfig) -> float:
+    """Fraction of one arm's photons stopped by the wires with both beams on."""
+    return absorbed_fraction_formula(
+        config.wire_thickness, config.wire_pitch, config.wire_count, config.beam_side
+    )
 
 
 def worst_case_intensity_pair(absorbed, covered, photons, beam_area):

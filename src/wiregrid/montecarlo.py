@@ -26,8 +26,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .budget import PhotonBudget, coverage_fraction
-from .complementarity import ComplementarityReport, fraction_report
+from .budget import PhotonBudget
+from .complementarity import ComplementarityReport, coverage_fraction, fraction_report
 from .config import ExperimentConfig
 from .errors import DomainError
 

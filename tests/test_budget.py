@@ -25,8 +25,8 @@ from wiregrid.budget import (
     _strip_total,
     _two_beam_total,
     _window_integrals,
-    absorbed_fraction_formula,
 )
+from wiregrid.complementarity import absorbed_fraction_formula
 from wiregrid.diffraction import _grid_intensity, _single_beam_amplitude
 
 D = 319e-6

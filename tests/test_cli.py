@@ -408,23 +408,38 @@ def test_bad_sweep_thickness_is_the_configs_error(capsys, bound, message, fmt):
 
 
 @pytest.mark.parametrize(
-    "bounds,got",
+    "bounds,message",
     [
-        (("--b-min", "150", "--b-max", "1"), "got --b-min 150, --b-max 1"),
-        (("--b-min", "5", "--b-max", "5", "--steps", "3"), "got --b-min 5, --b-max 5"),
+        (
+            ("--b-min", "150", "--b-max", "1"),
+            "--b-min must be below --b-max for more than one step, got --b-min 150, --b-max 1",
+        ),
+        (
+            ("--b-min", "5", "--b-max", "5", "--steps", "3"),
+            "--b-min must be below --b-max for more than one step, got --b-min 5, --b-max 5",
+        ),
+        # below --b-max, yet too close for the metre grid to hold distinct values
+        (
+            ("--b-min", "1", "--b-max", "1.0000000000000002", "--steps", "3"),
+            "--b-min 1.0 and --b-max 1.0000000000000002 are too close to split into "
+            "--steps 3 distinct thicknesses",
+        ),
+        (
+            ("--b-min", "100", "--b-max", "100.00000000000003", "--steps", "4"),
+            "--b-min 100.0 and --b-max 100.00000000000003 are too close to split into "
+            "--steps 4 distinct thicknesses",
+        ),
     ],
-    ids=["descending", "equal"],
+    ids=["descending", "equal", "one-ulp", "three-ulp"],
 )
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_sweep_bounds_out_of_order_name_the_flags(capsys, bounds, got, fmt):
+def test_sweep_bounds_out_of_order_name_the_flags(capsys, bounds, message, fmt):
     rc = main(["sweep", *bounds, "--format", fmt])
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     err = json.loads(captured.err)["error"]
-    assert (err["type"], err["message"]) == (
-        "DomainError", f"--b-min must be below --b-max for more than one step, {got}",
-    )
+    assert (err["type"], err["message"]) == ("DomainError", message)
     # one step needs no order: it is the thickness --b-min
     assert main(["sweep", "--b-min", "5", "--b-max", "5", "--steps", "1"]) == 0
 
@@ -436,9 +451,10 @@ def test_degenerate_theta_range_is_exit_2(capsys, theta_range, fmt):
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    err = json.loads(captured.err)
-    assert err["error"]["type"] == "ValueError"
-    assert "half_range must be positive and finite" in err["error"]["message"]
+    err = json.loads(captured.err)["error"]
+    assert (err["type"], err["message"]) == (
+        "DomainError", f"--theta-range must be positive and finite (mrad), got {theta_range}",
+    )
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -514,6 +530,21 @@ CLI_STDLIB_MODULES = {
 }
 
 
+def _fresh_process(code: str, *args: str) -> subprocess.Popen:
+    """A new interpreter running ``code`` with this checkout's package on its path."""
+    src = str(Path(wiregrid.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.Popen(
+        [sys.executable, "-c", code, *args], env=env, stdout=subprocess.PIPE, text=True
+    )
+
+
+def _stdout(proc: subprocess.Popen) -> str:
+    out, _ = proc.communicate()
+    assert proc.returncode == 0
+    return out
+
+
 def test_cli_import_loads_no_module_beyond_its_floor():
     code = (
         "import json, sys, numpy\n"
@@ -521,15 +552,56 @@ def test_cli_import_loads_no_module_beyond_its_floor():
         "import wiregrid.cli\n"
         "print(json.dumps({'before': sorted(before), 'after': sorted(sys.modules)}))\n"
     )
-    src = str(Path(wiregrid.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    loaded = json.loads(out)
+    loaded = json.loads(_stdout(_fresh_process(code)))
     before, after = set(loaded["before"]), set(loaded["after"])
     assert "concurrent.futures" not in after
     # sample_fates' threads come from a module numpy has already loaded
     assert "threading" in before
     added = {m for m in after - before if m != "wiregrid" and not m.startswith("wiregrid.")}
     assert added <= CLI_STDLIB_MODULES, sorted(added - CLI_STDLIB_MODULES)
+
+
+# The wiregrid modules every CLI process loads, and those each subcommand adds.
+CLI_FLOOR = {"cli", "config", "errors"}
+SUBCOMMAND_MODULES = {
+    "pattern": {"diffraction"},
+    "metrics": {"complementarity"},
+    "sweep": {"complementarity"},
+    "scenario": {"complementarity"},
+    "budget": {"budget", "complementarity", "diffraction"},
+    "validate": {"budget", "complementarity", "diffraction"},
+    "simulate": {"budget", "complementarity", "diffraction", "montecarlo"},
+}
+_PRINT_WIREGRID_MODULES = (
+    "print(' '.join(m.removeprefix('wiregrid.') for m in sys.modules if m.startswith('wiregrid.')))\n"
+)
+
+
+def test_cli_import_version_and_config_errors_load_no_numpy():
+    code = (
+        "import contextlib, io, sys\n"
+        "import wiregrid\n"
+        "assert not [m for m in sys.modules if m.startswith('wiregrid.')]\n"
+        "from wiregrid.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+        "    main(['--version'])\n"
+        "with contextlib.redirect_stderr(io.StringIO()):\n"
+        "    assert main(['metrics', '--override', 'wire_count=5']) == 1\n"
+        "    assert main(['budget', '--override', 'wire_count=6.5']) == 1\n"
+        "assert 'numpy' not in sys.modules\n"
+        + _PRINT_WIREGRID_MODULES
+    )
+    assert set(_stdout(_fresh_process(code)).split()) == CLI_FLOOR
+
+
+def test_each_subcommand_loads_only_the_modules_it_runs():
+    code = (
+        "import os, sys\n"
+        "from wiregrid.cli import main\n"
+        "assert main([sys.argv[1], '--out', os.devnull]) == 0\n"
+        + _PRINT_WIREGRID_MODULES
+    )
+    # one fresh process per subcommand, all started before any is read
+    procs = {sub: _fresh_process(code, sub) for sub in SUBCOMMAND_MODULES}
+    loaded = {sub: set(_stdout(proc).split()) for sub, proc in procs.items()}
+    assert loaded == {sub: CLI_FLOOR | extra for sub, extra in SUBCOMMAND_MODULES.items()}

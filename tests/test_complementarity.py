@@ -21,7 +21,7 @@ from wiregrid import (
     visibility_lower_bound,
     worst_case_intensity_pair,
 )
-from wiregrid.budget import absorbed_fraction_formula
+from wiregrid.complementarity import absorbed_fraction_formula
 
 BENCH_X = 0.001240
 BENCH_Y = 0.07529
