@@ -3,7 +3,8 @@
 Each subcommand computes a ``Report`` from the config and its options;
 ``run`` alone picks the format, emits the report and writes it.  Each
 ``_cmd_*`` imports the modules it runs, so a process loads only its
-subcommand's, and parsing, ``--version`` and config errors load no numpy.
+subcommand's: parsing, ``--version``, config errors, ``metrics`` and
+``scenario`` load no numpy.
 
 Exit codes: 0 success, 1 configuration or parse error, 2 numeric/domain
 error, 3 I/O error.  Errors are written to stderr as a one-line JSON
@@ -199,6 +200,11 @@ def _cmd_pattern(config: ExperimentConfig, theta_range=10.0, samples=4001) -> Re
     if not (theta_range > 0 and math.isfinite(theta_range)):
         raise DomainError(f"--theta-range must be positive and finite (mrad), got {theta_range:g}")
     theta = symmetric_grid(theta_range * 1e-3, samples)
+    if not theta[-1] < math.pi / 2:  # the edge as built, which rounding can push past the input
+        raise DomainError(
+            f"--theta-range must keep the grid inside |theta| < pi/2 = {500 * math.pi!r} mrad, "
+            f"got {theta_range!r}"
+        )
     theta_rad = theta.tolist()
     intensity_rel = two_beam_grid_intensity(theta, config).tolist()
     sections = {

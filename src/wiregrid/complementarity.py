@@ -8,6 +8,10 @@ consistent with the counts, hence a lower bound on the visibility.  The
 classical which-way parameter tracks photons whose momentum was provably
 untouched, bounded below by 1 - 2x.  ``truth_table`` sets the grid beside
 the bare beams and the output beam splitter.
+
+Scalar inputs run on ``math``; numpy is imported only where an array
+arrives (its caller has loaded it already) and in ``sweep_thickness``, so
+``metrics`` and ``scenario`` load no numpy.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ import math
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from typing import NamedTuple
-
-import numpy as np
 
 from .config import ExperimentConfig, check_wire_thickness
 from .errors import DomainError
@@ -64,9 +66,13 @@ def _duality_sum(whichway, visibility):
 
 def _require(ok, values, message: str) -> None:
     """Raise DomainError naming the first of ``values`` where ``ok`` is false."""
-    if ok is not True and not np.asarray(ok).all():
+    if ok is True or (ok is not False and ok.all()):
+        return
+    bad = values
+    if ok is not False:
+        import numpy as np  # an array arrived, so numpy is loaded already
         bad = np.broadcast_to(values, np.shape(ok))[np.logical_not(ok)][0]
-        raise DomainError(f"{message}, got {float(bad)!r}")
+    raise DomainError(f"{message}, got {float(bad)!r}")
 
 
 def _coverage_formula(b, wire_count: int, beam_side: float):
@@ -85,11 +91,16 @@ def absorbed_fraction_formula(b, d: float, wire_count: int, beam_side: float):
     Integral of the squared fringe field over the strips, divided by the
     beam-wide integral (average one half):
     M * (b/2 - (d / 2 pi) sin(pi b / d)) / (W / 2).
-    Elementwise in b; a scalar b gives a float.
+    Elementwise in b; a scalar b (int, float or 0-d array) gives a float.
     """
-    per_wire = b / 2.0 - (d / (2.0 * math.pi)) * np.sin(math.pi * b / d)
+    if isinstance(b, (int, float)):
+        sin = math.sin
+    else:
+        import numpy as np  # an array arrived, so numpy is loaded already
+        sin = np.sin
+    per_wire = b / 2.0 - (d / (2.0 * math.pi)) * sin(math.pi * b / d)
     x = wire_count * per_wire / (beam_side / 2.0)
-    return float(x) if x.ndim == 0 else x
+    return x if getattr(x, "ndim", 0) else float(x)
 
 
 def absorbed_fraction_two_beams(config: ExperimentConfig) -> float:
@@ -128,9 +139,11 @@ def visibility_lower_bound(absorbed, covered):
     """
     i_min, i_max = worst_case_intensity_pair(absorbed, covered, 1.0, 1.0)
     over = i_min > i_max
-    if over is not False and np.asarray(over).any():
-        over = np.asarray(over)
-        xb, yb = (np.broadcast_to(a, over.shape)[over][0] for a in (absorbed, covered))
+    if over is True or (over is not False and over.any()):
+        xb, yb = absorbed, covered
+        if over is not True:
+            import numpy as np  # an array arrived, so numpy is loaded already
+            xb, yb = (np.broadcast_to(a, np.shape(over))[over][0] for a in (absorbed, covered))
         raise DomainError(
             f"absorbed fraction x={xb:g} exceeds the uniform share for y={yb:g}; "
             f"the square-profile visibility bound would be negative"
@@ -269,6 +282,8 @@ def sweep_thickness(config: ExperimentConfig, b_values) -> list[SweepRow]:
     in-domain rows lead: the classical columns cover them alone, padded with
     None, and each row is a tuple of SweepRow's fields in order.
     """
+    import numpy as np
+
     b = np.fromiter(b_values, dtype=float)
     if not b.size:
         raise ValueError("b_values must not be empty")

@@ -458,6 +458,25 @@ def test_degenerate_theta_range_is_exit_2(capsys, theta_range, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_theta_range_reaching_pi_over_2_names_the_flag(capsys, fmt):
+    # pi/2 is 1570.7963267948965 mrad, and the grid's edge is what must stay below it
+    assert main(["pattern", "--theta-range", "1570.796326794896", "--format", fmt]) == 0
+    assert capsys.readouterr().out
+    rejected = [("1570.7963267948965", "4001"), ("2000", "4001"), ("1570.7963267948962", "4")]
+    for theta_range, samples in rejected:  # with 4 samples the edge rounds up past pi/2
+        args = ["pattern", "--theta-range", theta_range, "--samples", samples, "--format", fmt]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert (err["type"], err["message"]) == (
+            "DomainError",
+            "--theta-range must keep the grid inside |theta| < pi/2 = 1570.7963267948965 mrad, "
+            f"got {float(theta_range)!r}",
+        )
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_validate_rejects_invalid_config_before_any_check(capsys, fmt):
     # a config is checked when it is built, while the CLI loads it, so no
     # check runs and no row is printed
@@ -594,14 +613,22 @@ def test_cli_import_version_and_config_errors_load_no_numpy():
     assert set(_stdout(_fresh_process(code)).split()) == CLI_FLOOR
 
 
+# The subcommands that compute scalars only, on math: they load no numpy.
+NUMPY_FREE_SUBCOMMANDS = {"metrics", "scenario"}
+
+
 def test_each_subcommand_loads_only_the_modules_it_runs():
     code = (
         "import os, sys\n"
         "from wiregrid.cli import main\n"
         "assert main([sys.argv[1], '--out', os.devnull]) == 0\n"
+        "print('numpy' in sys.modules)\n"
         + _PRINT_WIREGRID_MODULES
     )
     # one fresh process per subcommand, all started before any is read
     procs = {sub: _fresh_process(code, sub) for sub in SUBCOMMAND_MODULES}
-    loaded = {sub: set(_stdout(proc).split()) for sub, proc in procs.items()}
+    outputs = {sub: _stdout(proc).split("\n", 1) for sub, proc in procs.items()}
+    loaded = {sub: set(modules.split()) for sub, (_, modules) in outputs.items()}
     assert loaded == {sub: CLI_FLOOR | extra for sub, extra in SUBCOMMAND_MODULES.items()}
+    numpy_loaded = {sub: flag == "True" for sub, (flag, _) in outputs.items()}
+    assert numpy_loaded == {sub: sub not in NUMPY_FREE_SUBCOMMANDS for sub in SUBCOMMAND_MODULES}

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import random
 
 import numpy as np
 import pytest
@@ -323,7 +325,11 @@ def test_sweep_quantum_sum_follows_quantum_whichway(monkeypatch):
 
 
 def test_scalar_pipeline_returns_plain_python_types(reference_config):
-    assert type(absorbed_fraction_formula(32e-6, 319e-6, 6, 2.55e-3)) is float
+    x = absorbed_fraction_formula(32e-6, 319e-6, 6, 2.55e-3)
+    assert type(x) is float
+    for b in (np.float64(32e-6), np.array(32e-6)):  # numpy scalars and 0-d arrays too
+        assert type(absorbed_fraction_formula(b, 319e-6, 6, 2.55e-3)) is float
+        assert absorbed_fraction_formula(b, 319e-6, 6, 2.55e-3) == x
     assert type(visibility_lower_bound(BENCH_X, BENCH_Y)) is float
     assert type(classical_whichway(BENCH_X)) is float
     assert [type(i) for i in worst_case_intensity_pair(BENCH_X, BENCH_Y, 1e6, 6.5)] == [float] * 2
@@ -358,6 +364,54 @@ def test_scalar_and_one_element_bounds_raise_the_same_text(bound, args, text):
         bound(*(np.array([a]) for a in args))
     assert text in str(scalar.value)
     assert str(array.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize(
+    "bound, args", [(classical_whichway, (0.6,)), (visibility_lower_bound, (0.6, 0.1))]
+)
+@pytest.mark.parametrize(
+    "wrap", [np.float64, np.array, lambda a: np.array([a, a])], ids=["float64", "0-d", "array"]
+)
+def test_python_float_and_numpy_inputs_raise_the_same_text(bound, args, wrap):
+    # a Python float takes the math path; numpy scalars and arrays the numpy one
+    with pytest.raises(DomainError) as scalar:
+        bound(*args)
+    with pytest.raises(DomainError) as numpy_input:
+        bound(*map(wrap, args))
+    assert str(numpy_input.value) == str(scalar.value)
+
+
+def _consistent_geometries(seed: int, n: int):
+    """Random consistent configs: the crossing angle puts the fringe spacing on
+    the pitch, 3 <= d/b <= 32, M even, the grid inside the beam."""
+    rng = random.Random(seed)
+    for i in range(n):
+        count = (2, 4, 6, 8, 10, 12)[i % 6]
+        wavelength = rng.uniform(400e-9, 800e-9)
+        pitch = math.exp(rng.uniform(math.log(150e-6), math.log(800e-6)))
+        crossing = 2.0 * math.asin(wavelength / (2.0 * pitch))
+        yield ExperimentConfig(
+            wavelength=wavelength,
+            wire_thickness=pitch / math.exp(rng.uniform(math.log(3.0), math.log(32.0))),
+            wire_pitch=pitch,
+            wire_count=count,
+            beam_side=count * pitch * rng.uniform(1.05, 1.5),
+            crossing_angle=crossing,
+            detector_half_width=0.5 * crossing * rng.uniform(0.1, 0.5),
+        )
+
+
+def test_scalar_and_array_paths_agree_bit_for_bit():
+    # scalars run on math.sin and arrays on np.sin: metrics and sweep must
+    # print the same x, V and K' for the same thickness
+    for config in _consistent_geometries(seed=23, n=200):
+        b, d, m, w = config.wire_thickness, config.wire_pitch, config.wire_count, config.beam_side
+        x = absorbed_fraction_two_beams(config)
+        assert x == absorbed_fraction_formula(np.array([b]), d, m, w)[0]
+        report, (row,) = grid_metrics(config), sweep_thickness(config, [b])
+        assert (report.visibility_lower, report.classical_whichway_lower) == (
+            row.visibility_lower, row.classical_whichway_lower,
+        )
 
 
 # the sweep CSV column order
