@@ -7,7 +7,8 @@ and seeded single-photon Monte Carlo tallies.
 
 Each public name is imported from its module on first use (PEP 562), so
 ``import wiregrid`` loads no submodule and a caller pays only for the
-modules whose names it reads.
+modules whose names it reads: the closed forms (``diffraction``) load no
+numpy, and the Fourier-integral oracle loads only for its own names.
 """
 
 import importlib
@@ -31,10 +32,7 @@ _PUBLIC = {
         "validate_config", "wire_centers",
     ),
     "diffraction": (
-        "DiffractionPattern", "FieldProfile", "band_power", "detector_windows",
-        "far_field_amplitude", "first_order_window", "fringe_field_profile",
-        "single_beam_strip_far_field", "symmetric_grid", "two_beam_grid_intensity",
-        "two_beam_pattern", "wire_strip_complement_profile",
+        "detector_windows", "first_order_window", "symmetric_grid", "two_beam_grid_intensity",
     ),
     "errors": (
         "BandRangeError", "ConfigError", "ConfigParseError", "DomainError", "SamplingError",
@@ -42,6 +40,11 @@ _PUBLIC = {
     ),
     "montecarlo": (
         "EmpiricalMetrics", "FateCounts", "estimate_metrics", "photon_uniforms", "sample_fates",
+    ),
+    "oracle": (
+        "DiffractionPattern", "FieldProfile", "band_power", "far_field_amplitude",
+        "fringe_field_profile", "single_beam_strip_far_field", "two_beam_pattern",
+        "wire_strip_complement_profile",
     ),
 }
 # public name -> the module that defines it

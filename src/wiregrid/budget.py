@@ -31,16 +31,14 @@ import numpy as np
 from .complementarity import absorbed_fraction_two_beams, coverage_fraction
 from .config import ExperimentConfig, derive_geometry, wire_centers
 from .diffraction import (
-    FieldProfile,
     _fringe_amplitude,
-    _fringe_samples,
     _grid_intensity,
     _single_beam_amplitude,
     detector_windows,
-    far_field_amplitude,
     symmetric_grid,
     two_beam_grid_intensity,
 )
+from .errors import DomainError
 
 
 @functools.cache
@@ -206,8 +204,13 @@ def band_fraction(config: ExperimentConfig, theta_lo: float, theta_hi: float) ->
     """Share of the two-beam diffracted power between theta_lo and theta_hi.
 
     The window integral of ``two_beam_grid_intensity`` in q = kappa sin(theta)
-    over its Parseval total.
+    over its Parseval total; DomainError unless |edges| < pi/2 and lo <= hi.
     """
+    for name, theta in (("theta_lo", theta_lo), ("theta_hi", theta_hi)):
+        if not abs(theta) < math.pi / 2:  # nan fails too
+            raise DomainError(f"{name} must be finite with |{name}| < pi/2, got {theta!r}")
+    if theta_lo > theta_hi:
+        raise DomainError(f"theta_lo {theta_lo!r} must not exceed theta_hi {theta_hi!r}")
     return _two_beam_shares(config, [(theta_lo, theta_hi)])[0]
 
 
@@ -300,6 +303,8 @@ def crosscheck(config: ExperimentConfig) -> list[Check]:
     sum of the two, equal to its direct transform to rounding since the
     trapezoid rule is linear.
     """
+    from .oracle import FieldProfile, _fringe_samples, far_field_amplitude  # so only validate loads it
+
     mismatch = derive_geometry(config).fringe_consistency
     checks = [
         Check(

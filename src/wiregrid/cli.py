@@ -3,8 +3,8 @@
 Each subcommand computes a ``Report`` from the config and its options;
 ``run`` alone picks the format, emits the report and writes it.  Each
 ``_cmd_*`` imports the modules it runs, so a process loads only its
-subcommand's: parsing, ``--version``, config errors, ``metrics`` and
-``scenario`` load no numpy.
+subcommand's: parsing, ``--version``, config errors, ``pattern``,
+``metrics`` and ``scenario`` load no numpy.
 
 Exit codes: 0 success, 1 configuration or parse error, 2 numeric/domain
 error, 3 I/O error.  Errors are written to stderr as a one-line JSON
@@ -14,7 +14,6 @@ object so scripted callers can branch on them.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -162,6 +161,8 @@ def _config_echo(config: ExperimentConfig) -> dict:
 
 def emit_rows(header: list[str], rows: list[list], out: io.TextIOBase) -> None:
     """CSV: the header, then one line per row."""
+    import csv  # only CSV output pays for it
+
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     writer.writerows([_fmt(v) for v in row] for row in rows)
@@ -193,20 +194,19 @@ def _table_report(key: str, header: list[str], table: list) -> Report:
 # ---------------------------------------------------------------------------
 
 def _cmd_pattern(config: ExperimentConfig, theta_range=10.0, samples=4001) -> Report:
-    from .diffraction import symmetric_grid, two_beam_grid_intensity
+    from .diffraction import symmetric_grid_list, two_beam_grid_intensity
 
     if samples < 3:
         raise DomainError("samples must be at least 3")
     if not (theta_range > 0 and math.isfinite(theta_range)):
         raise DomainError(f"--theta-range must be positive and finite (mrad), got {theta_range:g}")
-    theta = symmetric_grid(theta_range * 1e-3, samples)
-    if not theta[-1] < math.pi / 2:  # the edge as built, which rounding can push past the input
+    theta_rad = symmetric_grid_list(theta_range * 1e-3, samples)
+    if not theta_rad[-1] < math.pi / 2:  # the edge as built, which rounding can push past the input
         raise DomainError(
             f"--theta-range must keep the grid inside |theta| < pi/2 = {500 * math.pi!r} mrad, "
             f"got {theta_range!r}"
         )
-    theta_rad = theta.tolist()
-    intensity_rel = two_beam_grid_intensity(theta, config).tolist()
+    intensity_rel = [two_beam_grid_intensity(theta, config) for theta in theta_rad]
     sections = {
         "scale_note": (
             "|F|^2 / (4 k^2), F the far field of the fringe field on the wire "

@@ -61,7 +61,8 @@ class ComplementarityReport:
 
 def _duality_sum(whichway, visibility):
     """K^2 + V^2 for a which-way bound K and a visibility V, elementwise."""
-    return whichway**2 + visibility**2
+    # products, as numpy squares an array: a float's ** calls libm pow, which can round apart
+    return whichway * whichway + visibility * visibility
 
 
 def _require(ok, values, message: str) -> None:

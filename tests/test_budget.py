@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import wiregrid.budget
 from wiregrid import (
+    DomainError,
     ExperimentConfig,
     absorbed_fraction_quadrature,
     absorbed_fraction_two_beams,
@@ -16,6 +17,7 @@ from wiregrid import (
     crosscheck,
     detector_capture_fraction,
     detector_windows,
+    first_order_window,
     single_beam_budget,
     two_beam_budget,
     two_beam_grid_intensity,
@@ -123,6 +125,30 @@ def test_detector_capture_vanishes_with_window(reference_config):
     narrow = reference_config.replace(detector_half_width=1e-7)
     f_narrow = detector_capture_fraction(narrow)
     assert f_narrow < 1e-5
+
+
+@pytest.mark.parametrize(
+    "window, edge",
+    [
+        ("reversed", "theta_lo"),  # read -0.000763 before it raised
+        ((0.0, 3.0), "theta_hi"),  # sin wraps past pi/2: read 0.479, below (0, 1.5)'s 0.497
+        ((math.nan, 1e-3), "theta_lo"),
+        ((-1e-3, math.inf), "theta_hi"),
+        ((-math.pi / 2, 0.0), "theta_lo"),
+    ],
+)
+def test_band_fraction_rejects_impossible_windows(reference_config, window, edge):
+    if window == "reversed":
+        window = first_order_window(reference_config)[::-1]
+    with pytest.raises(DomainError, match=edge):
+        band_fraction(reference_config, *window)
+
+
+def test_band_fraction_accepts_every_window_inside_pi_over_2(reference_config):
+    lo, hi = first_order_window(reference_config)
+    assert band_fraction(reference_config, lo, hi) == pytest.approx(0.000763, rel=1e-3)
+    assert band_fraction(reference_config, 0.0, 1.5) == pytest.approx(0.497, rel=1e-3)
+    assert band_fraction(reference_config, hi, hi) == 0.0
 
 
 def test_detector_capture_full_window_is_total(reference_pattern):

@@ -544,8 +544,8 @@ def test_io_error_is_exit_3(capsys):
 # The standard-library modules ``import wiregrid.cli`` may load beyond those
 # numpy already loads; every CLI run pays for each one at start-up.
 CLI_STDLIB_MODULES = {
-    "__future__", "_csv", "_json", "argparse", "copy", "csv", "dataclasses",
-    "gettext", "json", "json.decoder", "json.encoder", "json.scanner",
+    "__future__", "_json", "argparse", "copy", "dataclasses", "gettext", "json",
+    "json.decoder", "json.encoder", "json.scanner",
 }
 
 
@@ -588,7 +588,7 @@ SUBCOMMAND_MODULES = {
     "sweep": {"complementarity"},
     "scenario": {"complementarity"},
     "budget": {"budget", "complementarity", "diffraction"},
-    "validate": {"budget", "complementarity", "diffraction"},
+    "validate": {"budget", "complementarity", "diffraction", "oracle"},
     "simulate": {"budget", "complementarity", "diffraction", "montecarlo"},
 }
 _PRINT_WIREGRID_MODULES = (
@@ -614,7 +614,7 @@ def test_cli_import_version_and_config_errors_load_no_numpy():
 
 
 # The subcommands that compute scalars only, on math: they load no numpy.
-NUMPY_FREE_SUBCOMMANDS = {"metrics", "scenario"}
+NUMPY_FREE_SUBCOMMANDS = {"pattern", "metrics", "scenario"}
 
 
 def test_each_subcommand_loads_only_the_modules_it_runs():

@@ -24,13 +24,9 @@ from wiregrid import (
     wire_centers,
     wire_strip_complement_profile,
 )
-import wiregrid.diffraction
-from wiregrid.diffraction import (
-    _aperture_grid,
-    _single_beam_amplitude,
-    _single_beam_theta_grid,
-    _transform,
-)
+import wiregrid.oracle
+from wiregrid.diffraction import _single_beam_amplitude, _sinc, symmetric_grid_list
+from wiregrid.oracle import _aperture_grid, _single_beam_theta_grid, _transform
 
 LAM = 638e-9
 D = 319e-6
@@ -58,6 +54,20 @@ def test_evenness_exact(theta, reference_config):
     assert two_beam_grid_intensity(theta, reference_config) == two_beam_grid_intensity(
         -theta, reference_config
     )
+
+
+def test_scalar_intensity_equals_the_array_path_bit_for_bit(reference_config, consistent_geometries):
+    # pattern evaluates each angle on math; crosscheck and the budgets take
+    # whole arrays on numpy: both must give the same bits, on the same grid
+    for x in (0.0, -0.0, 1e-300, 0.25, -1.5, 3.0, 1e6):
+        assert _sinc(x) == np.sinc(x)
+    cases = [(reference_config, 0.01, 4001)]  # pattern's default grid
+    cases += [(c, 3.0 * first_order_window(c)[1], 201) for c in consistent_geometries(23, 200)]
+    for config, half_range, n in cases:
+        theta = symmetric_grid(half_range, n)
+        assert symmetric_grid_list(half_range, n) == theta.tolist()
+        scalar = [two_beam_grid_intensity(t, config) for t in theta.tolist()]
+        assert scalar == two_beam_grid_intensity(theta, config).tolist()
 
 
 def test_quartic_behaviour_near_origin(reference_config):
@@ -240,7 +250,7 @@ def _dense_transform(x, amp, q):
 
 
 class _OuterRecorder:
-    """Stands in for numpy inside diffraction, recording each np.outer shape."""
+    """Stands in for numpy inside the oracle, recording each np.outer shape."""
 
     def __init__(self):
         self.shapes = []
@@ -272,8 +282,8 @@ def test_transform_matches_dense_trapezoid(reference_config, monkeypatch, profil
     }[profile]
     q = 2 * math.pi / LAM * np.sin(np.linspace(-2.5e-3, 2.5e-3, 301))
     recorder = _OuterRecorder()
-    monkeypatch.setattr(wiregrid.diffraction, "_KERNEL_ROWS", 128)
-    monkeypatch.setattr(wiregrid.diffraction, "np", recorder)
+    monkeypatch.setattr(wiregrid.oracle, "_KERNEL_ROWS", 128)
+    monkeypatch.setattr(wiregrid.oracle, "np", recorder)
     got = _transform(x, amp, q)
     monkeypatch.undo()
     want = _dense_transform(x, amp, q)
@@ -300,7 +310,7 @@ def test_mirrored_transform_matches_dense_trapezoid(reference_config, monkeypatc
     }[case]
     q = 2 * math.pi / LAM * np.sin(theta)
     recorder = _OuterRecorder()
-    monkeypatch.setattr(wiregrid.diffraction, "np", recorder)
+    monkeypatch.setattr(wiregrid.oracle, "np", recorder)
     got = _transform(x, amp, q)
     monkeypatch.undo()
     want = _dense_transform(x, amp, q)
@@ -323,7 +333,7 @@ def test_crosscheck_kernel_cost(reference_config, monkeypatch):
     # angles and spans the support of the complement (774 nodes) and of the
     # masked remainder (531), never the full 1293-node aperture
     recorder = _OuterRecorder()
-    monkeypatch.setattr(wiregrid.diffraction, "np", recorder)
+    monkeypatch.setattr(wiregrid.oracle, "np", recorder)
     checks = crosscheck(reference_config)
     monkeypatch.undo()
     assert all(c.passed for c in checks)
