@@ -14,7 +14,7 @@ Parseval that total is 2 pi times the squared aperture field integrated
 over the strips (times the pattern's fixed scale), a closed form, so no
 pattern is sampled and the share does not depend on any sampled range.
 The window integral is composite Gauss-Legendre quadrature on panels of
-half an array lobe.
+half an array lobe, on ``math`` unless numpy is loaded already (same bits).
 
 ``crosscheck`` holds the checks behind ``wiregrid validate``: each closed
 form against an independent numerical route.
@@ -22,11 +22,9 @@ form against an independent numerical route.
 
 from __future__ import annotations
 
-import functools
 import math
+import sys
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 from .complementarity import absorbed_fraction_two_beams, coverage_fraction
 from .config import ExperimentConfig, derive_geometry, wire_centers
@@ -41,18 +39,19 @@ from .diffraction import (
 from .errors import DomainError
 
 
-@functools.cache
-def _gauss_legendre_16() -> tuple[np.ndarray, np.ndarray]:
-    """16-point Gauss-Legendre nodes and weights on [-1, 1].
-
-    Built by the first budget rather than at import: ``numpy.polynomial``
-    and the LAPACK eigensolver behind ``leggauss`` would otherwise load into
-    every process that imports this module (about 1.3 MB more resident
-    memory in ``wiregrid validate``).
-    """
-    from numpy.polynomial.legendre import leggauss
-
-    return leggauss(16)
+# 16-point Gauss-Legendre nodes and weights on [-1, 1]: numpy's leggauss(16) to the bit.
+_GL_NODES = (
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
+    -0.6178762444026438, -0.45801677765722737, -0.2816035507792589, -0.09501250983763744,
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+)
+_GL_WEIGHTS = (
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926, 0.12462897125553407,
+    0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864,
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+)
 
 
 @dataclass(frozen=True)
@@ -133,6 +132,7 @@ def absorbed_fraction_quadrature(config: ExperimentConfig) -> float:
     of the squared fringe field over each wire strip at its actual position,
     normalized by the same beam-average convention as the closed form.
     """
+    import numpy as np  # only validate's checks load it
     d = config.wire_pitch
     half = config.wire_thickness / 2.0
     total = 0.0
@@ -148,20 +148,24 @@ def _window_integrals(intensity, q_windows, config: ExperimentConfig) -> list[fl
     """Integral of ``intensity(q)`` over each window [q_lo, q_hi], Gauss-Legendre
     on panels no wider than half an array lobe, pi / (M d).
 
-    ``intensity`` is called once, on every window's nodes together.
-    16 nodes per panel agree with 1/20-lobe panels to ~1e-13.
+    ``intensity`` runs on all nodes as one array if numpy is loaded, else per
+    node on ``math``, to the same bits, and ``math.fsum`` sums each window either
+    way.  16 nodes per panel agree with 1/20-lobe panels to ~1e-13.
     """
-    nodes, weights = _gauss_legendre_16()
-    edges, halves, q = [0], [], []
+    spans, q = [], []
     for q_lo, q_hi in q_windows:
         n = max(1, math.ceil((q_hi - q_lo) * config.wire_count * config.wire_pitch / math.pi))
         half = (q_hi - q_lo) / (2 * n)
-        mids = q_lo + half * (2 * np.arange(n) + 1)
-        edges.append(edges[-1] + n)
-        halves.append(half)
-        q.append((mids[:, None] + half * nodes).ravel())
-    panels = intensity(np.concatenate(q)).reshape(-1, nodes.size)
-    return [h * float((panels[a:b] @ weights).sum()) for h, a, b in zip(halves, edges, edges[1:])]
+        offsets = [half * t for t in _GL_NODES]
+        mids = [q_lo + half * (2 * i + 1) for i in range(n)]
+        q += [mid + u for mid in mids for u in offsets]
+        spans.append((half, len(q) - 16 * n, len(q)))
+    if "numpy" in sys.modules:
+        import numpy as np  # loaded already, so the array path costs no import
+        weighted = (intensity(np.fromiter(q, float)).reshape(-1, 16) * _GL_WEIGHTS).ravel().tolist()
+    else:
+        weighted = [intensity(x) * w for x, w in zip(q, _GL_WEIGHTS * (len(q) // 16))]
+    return [h * math.fsum(weighted[a:b]) for h, a, b in spans]
 
 
 def _two_beam_total(config: ExperimentConfig) -> float:
@@ -196,7 +200,7 @@ def _window_shares(config: ExperimentConfig, intensity, total: float, windows, a
 def _two_beam_shares(config: ExperimentConfig, windows) -> list[float]:
     """Shares of the two-beam diffracted power in each angle window."""
     return _window_shares(
-        config, lambda q: _grid_intensity(np.abs(q), config), _two_beam_total(config), windows, 0.0
+        config, lambda q: _grid_intensity(abs(q), config), _two_beam_total(config), windows, 0.0
     )
 
 
@@ -261,8 +265,8 @@ def single_beam_budget(config: ExperimentConfig) -> SingleBeamBudget:
     s0 = math.sin(config.crossing_angle / 2.0)
     total = _strip_total(config)
     neg, pos = detector_windows(config)
-    f_own, f_wrong = _window_shares(
-        config, lambda q: _single_beam_amplitude(config, q) ** 2, total, (pos, neg), s0
+    f_own, f_wrong = _window_shares(  # a product, as numpy squares: a float's ** calls pow
+        config, lambda q: (a := _single_beam_amplitude(config, q)) * a, total, (pos, neg), s0
     )
     return SingleBeamBudget(
         blocked=y,
@@ -303,6 +307,7 @@ def crosscheck(config: ExperimentConfig) -> list[Check]:
     sum of the two, equal to its direct transform to rounding since the
     trapezoid rule is linear.
     """
+    import numpy as np
     from .oracle import FieldProfile, _fringe_samples, far_field_amplitude  # so only validate loads it
 
     mismatch = derive_geometry(config).fringe_consistency

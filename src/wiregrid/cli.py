@@ -4,7 +4,7 @@ Each subcommand computes a ``Report`` from the config and its options;
 ``run`` alone picks the format, emits the report and writes it.  Each
 ``_cmd_*`` imports the modules it runs, so a process loads only its
 subcommand's: parsing, ``--version``, config errors, ``pattern``,
-``metrics`` and ``scenario`` load no numpy.
+``budget``, ``metrics`` and ``scenario`` load no numpy.
 
 Exit codes: 0 success, 1 configuration or parse error, 2 numeric/domain
 error, 3 I/O error.  Errors are written to stderr as a one-line JSON

@@ -11,8 +11,8 @@ Every pattern the analysis uses is evaluated in closed form:
 
 Scalars (``int`` or ``float``, numpy's float64 included) run on ``math``;
 numpy is imported only where an array arrives, so ``wiregrid pattern``
-loads no numpy.  The Fourier-integral oracle that checks these forms, and
-the sampled patterns, live in ``oracle``.
+and ``budget`` load no numpy.  The Fourier-integral oracle that checks these
+forms, and the sampled patterns, live in ``oracle``.
 
 Everything is scalar Fraunhofer on the plane containing the beams; only
 ratios of band integrals mean anything physically.
@@ -27,11 +27,13 @@ from .errors import DomainError
 
 
 def _sinc(x):
-    """``np.sinc``, sin(pi x) / (pi x); a scalar x takes its steps on ``math``
-    (y = pi x, float64 eps where y == 0, sin(y) / y) to the same bits."""
+    """``np.sinc``, sin(pi x) / (pi x), to the bit: y = pi x, float64 eps where
+    y == 0, sin(y) / y, on ``math`` for a scalar x and on numpy for an array."""
     if not isinstance(x, (int, float)):
         import numpy as np  # an array arrived, so numpy is loaded already
-        return np.sinc(x)
+        y = np.asarray(math.pi * x)  # a 0-d x gives a scalar: made writable here
+        y[y == 0] = math.ulp(1.0)  # in place, where np.sinc makes a where copy
+        return np.sin(y) / y
     y = math.pi * x or math.ulp(1.0)
     return math.sin(y) / y
 
@@ -141,14 +143,17 @@ def symmetric_grid(half_range: float, n: int):
 def _single_beam_amplitude(config: ExperimentConfig, q):
     """Closed-form far field of a unit uniform field on the wire strips.
 
-    With q (an array) measured from the beam axis this is b sinc(q b / 2)
-    sum_j exp(-i q x_j), real because the wire centres x_j are symmetric.
-    ``_sinc`` is the normalised sinc, hence the factor of 2 pi.
+    With q measured from the beam axis, a float on ``math`` or an array on numpy
+    to the same bits, this is b sinc(q b / 2) sum_j cos(q x_j), real because the
+    wire centres x_j are symmetric; ``_sinc`` is normalised, hence the 2 pi.
     """
-    import numpy as np  # an array arrived, so numpy is loaded already
-
+    if isinstance(q, (int, float)):
+        cos = math.cos
+    else:
+        import numpy as np  # an array arrived, so numpy is loaded already
+        cos = np.cos
     b = config.wire_thickness
-    array = np.cos(np.outer(q, wire_centers(config))).sum(axis=1)
+    array = sum(cos(q * x) for x in wire_centers(config))
     return b * _sinc(q * b / (2.0 * math.pi)) * array
 
 

@@ -23,6 +23,8 @@ from wiregrid import (
     two_beam_grid_intensity,
 )
 from wiregrid.budget import (
+    _GL_NODES,
+    _GL_WEIGHTS,
     PhotonBudget,
     _strip_total,
     _two_beam_total,
@@ -298,6 +300,17 @@ def _two_beam_intensity_q(cfg):
 
 def _strip_intensity_q(cfg):
     return lambda q: _single_beam_amplitude(cfg, q) ** 2
+
+
+def test_node_table_is_leggauss_16_to_the_bit():
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(16)
+    assert len(_GL_NODES) == len(_GL_WEIGHTS) == 16
+    assert all(a == b for a, b in zip(_GL_NODES, nodes.tolist()))
+    assert all(a == b for a, b in zip(_GL_WEIGHTS, weights.tolist()))
+    assert _GL_NODES == tuple(-t for t in reversed(_GL_NODES))
+    assert _GL_WEIGHTS == _GL_WEIGHTS[::-1]
 
 
 @pytest.mark.parametrize("b_um", [8, 16, 32, 64])

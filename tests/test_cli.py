@@ -5,13 +5,22 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wiregrid
-from wiregrid import DEFAULTS, ExperimentConfig, crosscheck, first_order_window
+from wiregrid import (
+    DEFAULTS,
+    ExperimentConfig,
+    band_fraction,
+    crosscheck,
+    first_order_window,
+    single_beam_budget,
+    two_beam_budget,
+)
 from wiregrid.cli import RunRequest, apply_overrides, main, parse_config, run
 from wiregrid.errors import ConfigError, ConfigParseError
 
@@ -614,7 +623,7 @@ def test_cli_import_version_and_config_errors_load_no_numpy():
 
 
 # The subcommands that compute scalars only, on math: they load no numpy.
-NUMPY_FREE_SUBCOMMANDS = {"pattern", "metrics", "scenario"}
+NUMPY_FREE_SUBCOMMANDS = {"pattern", "budget", "metrics", "scenario"}
 
 
 def test_each_subcommand_loads_only_the_modules_it_runs():
@@ -632,3 +641,39 @@ def test_each_subcommand_loads_only_the_modules_it_runs():
     assert loaded == {sub: CLI_FLOOR | extra for sub, extra in SUBCOMMAND_MODULES.items()}
     numpy_loaded = {sub: flag == "True" for sub, (flag, _) in outputs.items()}
     assert numpy_loaded == {sub: sub not in NUMPY_FREE_SUBCOMMANDS for sub in SUBCOMMAND_MODULES}
+
+
+@pytest.mark.parametrize("overrides", [[], ["wire_count=4"], ["wire_count=12", "beam_side=5mm"]],
+                         ids=["reference", "M4", "M12-W5mm"])
+def test_budget_prints_the_library_budgets_bit_for_bit(overrides):
+    # `wiregrid budget` integrates its windows on math, without numpy; the
+    # library here, as in `simulate`, runs them on numpy arrays
+    args = [arg for item in overrides for arg in ("--override", item)]
+    code = "import sys\nfrom wiregrid.cli import main\nsys.exit(main(['budget', *sys.argv[1:]]))\n"
+    printed = json.loads(_stdout(_fresh_process(code, *args)))
+    cfg = apply_overrides(ExperimentConfig(), overrides)
+    single = asdict(single_beam_budget(cfg))
+    single["detector_half_width_rad"] = single.pop("detector_half_width")
+    assert printed["two_beam_fractions"] == asdict(two_beam_budget(cfg))
+    assert printed["single_beam"] == single
+
+
+def test_budgets_are_the_same_bits_with_and_without_numpy(reference_config, consistent_geometries):
+    # a process that never imports numpy evaluates each window integrand per
+    # node on math; this one, with numpy loaded, evaluates it on one array
+    configs = [reference_config, *consistent_geometries(25, 300)]
+    code = (
+        "import sys\n"
+        "from wiregrid import ExperimentConfig, band_fraction, first_order_window,"
+        " single_beam_budget, two_beam_budget\n"
+        "for arg in sys.argv[1:]:\n"
+        "    cfg = eval(arg)\n"
+        "    print(repr((two_beam_budget(cfg), single_beam_budget(cfg),"
+        " band_fraction(cfg, *first_order_window(cfg)))))\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    printed = _stdout(_fresh_process(code, *map(repr, configs))).splitlines()
+    assert printed == [
+        repr((two_beam_budget(c), single_beam_budget(c), band_fraction(c, *first_order_window(c))))
+        for c in configs
+    ]
