@@ -4,7 +4,7 @@ Each subcommand computes a ``Report`` from the config and its options;
 ``run`` alone picks the format, emits the report and writes it.  Each
 ``_cmd_*`` imports the modules it runs, so a process loads only its
 subcommand's: parsing, ``--version``, config errors, ``pattern``,
-``budget``, ``metrics`` and ``scenario`` load no numpy.
+``budget``, ``metrics``, ``sweep`` and ``scenario`` load no numpy.
 
 Exit codes: 0 success, 1 configuration or parse error, 2 numeric/domain
 error, 3 I/O error.  Errors are written to stderr as a one-line JSON
@@ -257,14 +257,21 @@ def _cmd_metrics(config: ExperimentConfig) -> Report:
     })
 
 
-def _cmd_sweep(config: ExperimentConfig, b_min=1.0, b_max=150.0, steps=150) -> Report:
-    import numpy as np
+def _linspace(a: float, b: float, n: int) -> list[float]:
+    """``np.linspace(a, b, n).tolist()`` to the bit for n >= 1, unless the step underflows
+    to 0: numpy takes another branch, but both grids repeat a value, which ``sweep`` rejects."""
+    if n == 1:
+        return [0.0 * (b - a) + a]  # numpy's arithmetic, which turns a = -0.0 into 0.0
+    step = (b - a) / (n - 1)
+    return [i * step + a for i in range(n - 1)] + [b]
 
+
+def _cmd_sweep(config: ExperimentConfig, b_min=1.0, b_max=150.0, steps=150) -> Report:
     from .complementarity import SweepRow, sweep_thickness
 
     if steps < 1:
         raise DomainError("steps must be at least 1")
-    for b in (b_min, b_max):  # before np.linspace spreads a nan or inf over the grid
+    for b in (b_min, b_max):  # before the grid spreads a nan or inf over every row
         if not math.isfinite(b):
             raise positive_finite_error("wire_thickness", b)
     if steps > 1 and not b_min < b_max:
@@ -272,14 +279,14 @@ def _cmd_sweep(config: ExperimentConfig, b_min=1.0, b_max=150.0, steps=150) -> R
             f"--b-min must be below --b-max for more than one step, "
             f"got --b-min {b_min:g}, --b-max {b_max:g}"
         )
-    b_m = np.linspace(b_min / 1e6, b_max / 1e6, steps)
-    if (b_m[1:] <= b_m[:-1]).any():  # b_min < b_max, yet closer than the grid resolves
+    b_m = _linspace(b_min / 1e6, b_max / 1e6, steps)
+    if any(q <= p for p, q in zip(b_m, b_m[1:])):  # b_min < b_max, yet closer than the grid resolves
         raise DomainError(
             f"--b-min {b_min!r} and --b-max {b_max!r} are too close to split into "
             f"--steps {steps} distinct thicknesses"
         )
     rows = sweep_thickness(config, b_m)
-    b_um = np.linspace(b_min, b_max, steps).tolist()  # printed as typed, not as b * 1e6
+    b_um = _linspace(b_min, b_max, steps)  # printed as typed, not as b * 1e6
     header = ["wire_thickness_um", *SweepRow._fields[1:]]
     return _table_report("sweep", header, [[b, *row[1:]] for b, row in zip(b_um, rows)])
 

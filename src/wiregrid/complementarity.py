@@ -9,14 +9,16 @@ classical which-way parameter tracks photons whose momentum was provably
 untouched, bounded below by 1 - 2x.  ``truth_table`` sets the grid beside
 the bare beams and the output beam splitter.
 
-Scalar inputs run on ``math``; numpy is imported only where an array
-arrives (its caller has loaded it already) and in ``sweep_thickness``, so
-``metrics`` and ``scenario`` load no numpy.
+Scalar inputs run on ``math`` and numpy is used only where an array
+arrives or, in ``sweep_thickness``, once it is loaded: ``metrics``, ``sweep``
+and ``scenario`` load no numpy.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from typing import NamedTuple
@@ -111,6 +113,14 @@ def absorbed_fraction_two_beams(config: ExperimentConfig) -> float:
     )
 
 
+def _check_covered(y) -> None:
+    _require((0.0 < y) & (y < 1.0), y, "covered fraction must lie in (0, 1)")
+
+
+def _check_absorbed(x) -> None:
+    _require((0.0 <= x) & (x < 1.0), x, "absorbed fraction must lie in [0, 1)")
+
+
 def worst_case_intensity_pair(absorbed, covered, photons, beam_area):
     """Flattest-pattern intensity pair (i_min, i_max) consistent with the counts.
 
@@ -122,8 +132,8 @@ def worst_case_intensity_pair(absorbed, covered, photons, beam_area):
     float fractions give floats and arrays give arrays.
     """
     x, y = absorbed, covered
-    _require((0.0 < y) & (y < 1.0), y, "covered fraction must lie in (0, 1)")
-    _require((0.0 <= x) & (x < 1.0), x, "absorbed fraction must lie in [0, 1)")
+    _check_covered(y)
+    _check_absorbed(x)
     i_min = x * photons / (y * beam_area)
     i_max = (1.0 - x) * photons / ((1.0 - y) * beam_area)
     return i_min, i_max
@@ -279,29 +289,42 @@ def sweep_thickness(config: ExperimentConfig, b_values) -> list[SweepRow]:
     ``b_values`` must be non-empty and sorted strictly ascending (ValueError)
     and lie between thicknesses the config could hold (ConfigError from
     ``check_wire_thickness``); rows where the absorbed fraction exceeds 1/2
-    are marked out-of-domain instead of raising.  x rises with b, so the
-    in-domain rows lead: the classical columns cover them alone, padded with
-    None, and each row is a tuple of SweepRow's fields in order.
+    are marked out-of-domain instead of raising.  x rises with b, up to
+    rounding where b << d, so the in-domain rows lead: the classical columns
+    cover them alone, padded with None, and each row is a tuple of SweepRow's
+    fields in order.  Each function runs once over the whole array if numpy is
+    loaded, else per row on ``math``, to the same bits and the same errors.
     """
-    import numpy as np
-
-    b = np.fromiter(b_values, dtype=float)
-    if not b.size:
+    d, wires, side = config.wire_pitch, config.wire_count, config.beam_side
+    if "numpy" in sys.modules:
+        np = sys.modules["numpy"]  # loaded already, so the array path costs no import
+        b = np.fromiter(b_values, dtype=float)
+        each, nonzero, listed = (lambda f, *cols: f(*cols)), np.count_nonzero, np.ndarray.tolist
+    else:
+        b = [float(c) for c in b_values]
+        each, nonzero, listed = (lambda f, *cols: [f(*row) for row in zip(*cols)]), sum, list
+    if not len(b):
         raise ValueError("b_values must not be empty")
-    if (b[1:] <= b[:-1]).any():
+    if nonzero(each(operator.le, b[1:], b[:-1])):
         raise ValueError("b_values must be sorted strictly ascending")
-    for edge in (b.min(), b.max()):  # a nan anywhere in b reaches both
-        check_wire_thickness(float(edge), config.wire_pitch)
-    x = absorbed_fraction_formula(b, config.wire_pitch, config.wire_count, config.beam_side)
-    y = _coverage_formula(b, config.wire_count, config.beam_side)
-    v = visibility_lower_bound(x, y)
-    m = int(np.count_nonzero(x <= 0.5))
-    k = classical_whichway(x[:m])  # raises if the in-domain rows were not a prefix
-    pad = [None] * (b.size - m)
+    has_nan = nonzero(each(operator.ne, b, b))
+    for edge in (b[0], b[-1]):  # as np.min and np.max, a nan anywhere in b reaches both
+        check_wire_thickness(math.nan if has_nan else float(edge), d)
+    x = each(lambda c: absorbed_fraction_formula(c, d, wires, side), b)
+    y = each(lambda c: _coverage_formula(c, wires, side), b)
+    try:
+        v = each(visibility_lower_bound, x, y)
+    except DomainError:  # per row, the first bad row raises; arrays check all y, then all x, first
+        each(_check_covered, y)
+        each(_check_absorbed, x)
+        raise
+    m = int(nonzero(each(lambda a: a <= 0.5, x)))
+    k = each(classical_whichway, x[:m])  # raises if the in-domain rows were not a prefix
+    pad = [None] * (len(b) - m)
     note = "absorbed fraction exceeds 1/2; classical bound undefined"
-    k, k_sq, k_sum = (c.tolist() + pad for c in (k, k * k, _duality_sum(k, v[:m])))
-    q_sum = _duality_sum(quantum_whichway(), v)
-    b, x, y, v, v_sq, q_sum = (c.tolist() for c in (b, x, y, v, v * v, q_sum))
+    k, k_sq, k_sum = (listed(c) + pad for c in (k, each(operator.mul, k, k), each(_duality_sum, k, v[:m])))
+    q_sum = each(lambda c: _duality_sum(quantum_whichway(), c), v)
+    b, x, y, v, v_sq, q_sum = map(listed, (b, x, y, v, each(operator.mul, v, v), q_sum))
     in_domain, notes = [True] * m + [False] * len(pad), [""] * m + [note] * len(pad)
     columns = (b, x, y, v, k, v_sq, k_sq, q_sum, k_sum, in_domain, notes)
     return list(map(tuple.__new__, repeat(SweepRow), zip(*columns)))

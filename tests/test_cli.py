@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,9 +21,10 @@ from wiregrid import (
     crosscheck,
     first_order_window,
     single_beam_budget,
+    sweep_thickness,
     two_beam_budget,
 )
-from wiregrid.cli import RunRequest, apply_overrides, main, parse_config, run
+from wiregrid.cli import RunRequest, _linspace, apply_overrides, main, parse_config, run
 from wiregrid.errors import ConfigError, ConfigParseError
 
 
@@ -222,6 +225,30 @@ def test_sweep_custom_range(tmp_path):
     assert rc == 0
     rows = list(csv.reader(io.StringIO(text)))
     assert [float(r[0]) for r in rows[1:]] == pytest.approx([10.0, 15.0, 20.0])
+
+
+def test_sweep_grid_is_numpys_linspace_to_the_bit():
+    # `sweep` builds both of its grids as lists; they must be np.linspace's
+    rng = np.random.default_rng(26)
+    triples = [(1.0, 150.0, 150), (1e-6, 150e-6, 150), (5.0, 9.0, 1), (5.0, 9.0, 2),
+               (-0.0, 9.0, 1), (5.0, 5.0, 3), (1e-316, 2e-316, 50), (1e-310, 2e-310, 50)]
+    for _ in range(20_000):
+        scale = 10.0 ** rng.uniform(-316, 3)
+        a, b = sorted((scale * rng.uniform(0.0, 1000.0, 2)).tolist())
+        triples.append((a, b, int(rng.integers(1, 200))))
+    for a, b, n in triples:
+        assert _linspace(a, b, n) == np.linspace(a, b, n).tolist(), (a, b, n)
+    # a step that underflows to 0 takes numpy's other branch: both grids repeat a value
+    a, b, n = 5e-324, 1e-323, 5
+    for grid in (_linspace(a, b, n), np.linspace(a, b, n).tolist()):
+        assert any(q <= p for p, q in zip(grid, grid[1:]))
+
+
+def test_one_step_sweep_prints_b_min(capsys):
+    assert main(["sweep", "--b-min", "5", "--b-max", "9", "--steps", "1"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["sweep"]
+    assert row["wire_thickness_um"] == 5.0
+    assert row["absorbed"] == sweep_thickness(ExperimentConfig(), [5e-6])[0].absorbed
 
 
 def test_printed_column_orders_are_pinned(tmp_path):
@@ -622,8 +649,8 @@ def test_cli_import_version_and_config_errors_load_no_numpy():
     assert set(_stdout(_fresh_process(code)).split()) == CLI_FLOOR
 
 
-# The subcommands that compute scalars only, on math: they load no numpy.
-NUMPY_FREE_SUBCOMMANDS = {"pattern", "budget", "metrics", "scenario"}
+# The subcommands that run on math alone: they load no numpy.
+NUMPY_FREE_SUBCOMMANDS = {"pattern", "budget", "metrics", "sweep", "scenario"}
 
 
 def test_each_subcommand_loads_only_the_modules_it_runs():
@@ -677,3 +704,148 @@ def test_budgets_are_the_same_bits_with_and_without_numpy(reference_config, cons
         repr((two_beam_budget(c), single_beam_budget(c), band_fraction(c, *first_order_window(c))))
         for c in configs
     ]
+
+
+# in this narrow-beam geometry wires thicker than about 238 um absorb over half of an arm
+OUT_OF_DOMAIN_CONFIG = ExperimentConfig(
+    wire_pitch=300e-6, wire_count=2, beam_side=0.72e-3, wire_thickness=32e-6
+)
+
+
+def test_sweep_rows_are_the_same_bits_with_and_without_numpy(reference_config, consistent_geometries):
+    # a process that never imports numpy runs the sweep per row on math; this
+    # one, with numpy loaded, runs each function once over the whole array
+    grids = [(reference_config, 1e-6, 150e-6, 150), (OUT_OF_DOMAIN_CONFIG, 1e-6, 299e-6, 40)]
+    grids += [(c, c.wire_pitch / 300, c.wire_pitch / 2, 150) for c in consistent_geometries(26, 300)]
+    code = (
+        "import hashlib, sys\n"
+        "from wiregrid import ExperimentConfig, sweep_thickness\n"
+        "from wiregrid.cli import _linspace\n"
+        "for arg in sys.argv[1:]:\n"
+        "    cfg, *grid = eval(arg)\n"
+        "    print(hashlib.sha256(repr(sweep_thickness(cfg, _linspace(*grid))).encode()).hexdigest())\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    printed = _stdout(_fresh_process(code, *map(repr, grids))).splitlines()
+    assert "numpy" in sys.modules
+    expected = [
+        hashlib.sha256(repr(sweep_thickness(cfg, _linspace(*grid))).encode()).hexdigest()
+        for cfg, *grid in grids
+    ]
+    assert len(printed) == len(grids)
+    assert [i for i, (p, e) in enumerate(zip(printed, expected)) if p != e] == []
+    assert not all(row.in_domain for row in sweep_thickness(OUT_OF_DOMAIN_CONFIG, _linspace(*grids[1][1:])))
+
+
+# Each runs sweep_thickness (``wc``) on bad thicknesses; the array path's
+# errors, checked in order: the empty and unsorted ValueErrors, both edges,
+# then the whole y column, the whole x column and the uniform share.
+# six wires exactly fill the beam, M d = W
+_GRID_FILLS_BEAM = (
+    "ExperimentConfig(wire_pitch=0.0007359278474474644, wire_count=6, beam_side=0.004415567084684786)"
+)
+SWEEP_ERROR_CASES = {
+    "empty": "wc.sweep_thickness(ExperimentConfig(), [])",
+    "unsorted": "wc.sweep_thickness(ExperimentConfig(), [2e-6, 1e-6])",
+    "nan-in-the-middle": "wc.sweep_thickness(ExperimentConfig(), [1e-6, math.nan, 2e-6])",
+    "nan-unsorted": "wc.sweep_thickness(ExperimentConfig(), [2e-6, math.nan, 1e-6])",
+    "inf": "wc.sweep_thickness(ExperimentConfig(), iter([1e-6, math.inf]))",
+    "zero": "wc.sweep_thickness(ExperimentConfig(), [0.0, 1e-6])",
+    "at-the-pitch": "wc.sweep_thickness(ExperimentConfig(), [1e-6, 319e-6])",
+    "above-the-pitch": "wc.sweep_thickness(ExperimentConfig(), [1e-6, 400e-6])",
+    "subnormal": "wc.sweep_thickness(ExperimentConfig(), [1e-310 + i * 1e-310 / 49 for i in range(50)])",
+    # row 0 has x < 0, the last row y = 1.0 (M d = W): the y column is checked first
+    "y-column-first": (
+        f"wc.sweep_thickness({_GRID_FILLS_BEAM}, [3e-310, math.nextafter(0.0007359278474474644, 0)])"
+    ),
+    # row 0 breaks the uniform share, row 1 has x < 0: the x column is checked first
+    "x-column-first": (
+        "f = wc.absorbed_fraction_formula\n"
+        "wc.absorbed_fraction_formula = lambda b, *_: (2e-5 - b) * 47368.0\n"
+        "try:\n"
+        "    wc.sweep_thickness(ExperimentConfig(), [1e-6, 3e-5])\n"
+        "finally:\n"
+        "    wc.absorbed_fraction_formula = f\n"
+    ),
+}
+_SWEEP_OUTCOME = (
+    "import json, math, sys\n"
+    "import wiregrid.complementarity as wc\n"
+    "from wiregrid import ExperimentConfig\n"
+    "def outcome(source):\n"
+    "    try:\n"
+    "        exec(source)\n"
+    "    except Exception as exc:\n"
+    "        return [type(exc).__name__, str(exc)]\n"
+)
+
+
+def test_sweep_errors_are_the_same_with_and_without_numpy():
+    code = _SWEEP_OUTCOME + (
+        "print(json.dumps([outcome(source) for source in sys.argv[1:]]))\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    printed = json.loads(_stdout(_fresh_process(code, *SWEEP_ERROR_CASES.values())))
+    namespace = {}
+    exec(_SWEEP_OUTCOME, namespace)
+    expected = [namespace["outcome"](source) for source in SWEEP_ERROR_CASES.values()]
+    assert dict(zip(SWEEP_ERROR_CASES, printed)) == dict(zip(SWEEP_ERROR_CASES, expected))
+    outcomes = dict(zip(SWEEP_ERROR_CASES, expected))
+    assert outcomes["subnormal"] == ["DomainError", "absorbed fraction must lie in [0, 1), got -2.325e-320"]
+    assert outcomes["y-column-first"] == ["DomainError", "covered fraction must lie in (0, 1), got 1.0"]
+    assert outcomes["x-column-first"][1].startswith("absorbed fraction must lie in [0, 1), got -0.4")
+    assert outcomes["nan-in-the-middle"] == outcomes["nan-unsorted"] == [
+        "ConfigError", "wire_thickness must be a positive finite length, got nan",
+    ]
+
+
+SWEEP_CLI_ERROR_CASES = [
+    ["--b-min", "0"], ["--b-max", "400"], ["--b-min", "150", "--b-max", "1"],
+    ["--b-min", "5", "--b-max", "5", "--steps", "3"], ["--steps", "0"],
+    ["--b-min", "1e-310", "--b-max", "2e-310", "--steps", "50"],
+]
+
+
+def test_sweep_cli_errors_are_the_same_with_and_without_numpy(capsys):
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from wiregrid.cli import main\n"
+        "outcomes = []\n"
+        "for args in json.loads(sys.argv[1]):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        outcomes.append([main(['sweep', *args]), out.getvalue(), err.getvalue()])\n"
+        "print(json.dumps(outcomes))\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    printed = json.loads(_stdout(_fresh_process(code, json.dumps(SWEEP_CLI_ERROR_CASES))))
+    expected = []
+    for args in SWEEP_CLI_ERROR_CASES:
+        rc = main(["sweep", *args])
+        expected.append([rc, *capsys.readouterr()])
+    assert printed == expected
+    assert [rc for rc, _, _ in expected] == [1, 1, 2, 2, 2, 2]
+    assert all(out == "" and json.loads(err)["error"]["exit_code"] == rc for rc, out, err in expected)
+
+
+def test_numpy_sin_and_cos_are_libm_sin_and_cos(consistent_geometries):
+    # the premise of every test that a math path and its array path agree to
+    # the bit: numpy's float64 sin and cos round as the platform's libm does
+    rng = np.random.default_rng(26)
+    t = np.exp(rng.uniform(np.log(1e-3), np.log(1e5), 200_000)) * rng.choice([-1.0, 1.0], 200_000)
+    sweep_args = [np.pi * np.array(_linspace(1e-6, 150e-6, 150)) / 319e-6]  # pi b / d
+    for c in consistent_geometries(26, 300):
+        b = np.array(_linspace(c.wire_pitch / 300, c.wire_pitch / 2, 150))
+        sweep_args.append(np.pi * b / c.wire_pitch)
+    for name in ("sin", "cos"):
+        for args in (t, *sweep_args):
+            got, want = getattr(np, name)(args).tolist(), [getattr(math, name)(a) for a in args.tolist()]
+            bad = [a for a, g, w in zip(args.tolist(), got, want) if g != w]
+            assert not bad, (
+                f"np.{name} differs from math.{name} at {len(bad)} arguments, first {bad[0]!r}: "
+                "the math and numpy paths cannot agree to the bit here, so the path-identity "
+                "tests (test_budgets_are_the_same_bits_with_and_without_numpy, "
+                "test_sweep_rows_are_the_same_bits_with_and_without_numpy, "
+                "test_scalar_and_array_paths_agree_bit_for_bit) fail for this platform's "
+                "numpy, not for the package"
+            )
