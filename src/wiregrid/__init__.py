@@ -8,7 +8,8 @@ and seeded single-photon Monte Carlo tallies.
 Each public name is imported from its module on first use (PEP 562), so
 ``import wiregrid`` loads no submodule and a caller pays only for the
 modules whose names it reads: the closed forms (``diffraction``) load no
-numpy, and the Fourier-integral oracle loads only for its own names.
+numpy, and the checks behind ``wiregrid validate`` (``oracle``) load only
+for their own names.
 """
 
 import importlib
@@ -17,9 +18,8 @@ __version__ = "0.1.0"
 
 _PUBLIC = {
     "budget": (
-        "Check", "PhotonBudget", "SingleBeamBudget", "absorbed_fraction_quadrature",
-        "band_fraction", "crosscheck", "detector_capture_fraction", "single_beam_budget",
-        "two_beam_budget",
+        "PhotonBudget", "SingleBeamBudget", "band_fraction", "detector_capture_fraction",
+        "single_beam_budget", "two_beam_budget",
     ),
     "complementarity": (
         "ComplementarityReport", "ScenarioReport", "SweepRow", "absorbed_fraction_two_beams",
@@ -31,9 +31,7 @@ _PUBLIC = {
         "DEFAULTS", "DerivedGeometry", "ExperimentConfig", "derive_geometry",
         "validate_config", "wire_centers",
     ),
-    "diffraction": (
-        "detector_windows", "first_order_window", "symmetric_grid", "two_beam_grid_intensity",
-    ),
+    "diffraction": ("detector_windows", "first_order_window", "two_beam_grid_intensity"),
     "errors": (
         "BandRangeError", "ConfigError", "ConfigParseError", "DomainError", "SamplingError",
         "WiregridError",
@@ -42,8 +40,9 @@ _PUBLIC = {
         "EmpiricalMetrics", "FateCounts", "estimate_metrics", "photon_uniforms", "sample_fates",
     ),
     "oracle": (
-        "DiffractionPattern", "FieldProfile", "band_power", "far_field_amplitude",
-        "fringe_field_profile", "single_beam_strip_far_field", "two_beam_pattern",
+        "Check", "DiffractionPattern", "FieldProfile", "absorbed_fraction_quadrature",
+        "band_power", "crosscheck", "far_field_amplitude", "fringe_field_profile",
+        "single_beam_strip_far_field", "symmetric_grid", "two_beam_pattern",
         "wire_strip_complement_profile",
     ),
 }

@@ -15,9 +15,6 @@ over the strips (times the pattern's fixed scale), a closed form, so no
 pattern is sampled and the share does not depend on any sampled range.
 The window integral is composite Gauss-Legendre quadrature on panels of
 half an array lobe, on ``math`` unless numpy is loaded already (same bits).
-
-``crosscheck`` holds the checks behind ``wiregrid validate``: each closed
-form against an independent numerical route.
 """
 
 from __future__ import annotations
@@ -27,15 +24,8 @@ import sys
 from dataclasses import dataclass, fields
 
 from .complementarity import absorbed_fraction_two_beams, coverage_fraction
-from .config import ExperimentConfig, derive_geometry, wire_centers
-from .diffraction import (
-    _fringe_amplitude,
-    _grid_intensity,
-    _single_beam_amplitude,
-    detector_windows,
-    symmetric_grid,
-    two_beam_grid_intensity,
-)
+from .config import ExperimentConfig
+from .diffraction import _grid_intensity, _single_beam_amplitude, detector_windows
 from .errors import DomainError
 
 
@@ -123,27 +113,6 @@ class SingleBeamBudget:
             raise ValueError("own_detector_decrease must include at least the blocked share")
 
 
-# Simpson nodes per wire strip; odd, so the panels pair up.
-_SIMPSON_NODES = 4097
-
-
-def absorbed_fraction_quadrature(config: ExperimentConfig) -> float:
-    """Independent route to the absorbed fraction: composite-Simpson quadrature
-    of the squared fringe field over each wire strip at its actual position,
-    normalized by the same beam-average convention as the closed form.
-    """
-    import numpy as np  # only validate's checks load it
-    d = config.wire_pitch
-    half = config.wire_thickness / 2.0
-    total = 0.0
-    for xc in wire_centers(config):
-        x = np.linspace(xc - half, xc + half, _SIMPSON_NODES)
-        y = np.cos(np.pi * x / d) ** 2
-        h = x[1] - x[0]
-        total += h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
-    return float(total / (config.beam_side / 2.0))
-
-
 def _window_integrals(intensity, q_windows, config: ExperimentConfig) -> list[float]:
     """Integral of ``intensity(q)`` over each window [q_lo, q_hi], Gauss-Legendre
     on panels no wider than half an array lobe, pi / (M d).
@@ -161,7 +130,7 @@ def _window_integrals(intensity, q_windows, config: ExperimentConfig) -> list[fl
         q += [mid + u for mid in mids for u in offsets]
         spans.append((half, len(q) - 16 * n, len(q)))
     if "numpy" in sys.modules:
-        import numpy as np  # loaded already, so the array path costs no import
+        np = sys.modules["numpy"]  # loaded already, so the array path costs no import
         weighted = (intensity(np.fromiter(q, float)).reshape(-1, 16) * _GL_WEIGHTS).ravel().tolist()
     else:
         weighted = [intensity(x) * w for x, w in zip(q, _GL_WEIGHTS * (len(q) // 16))]
@@ -274,77 +243,3 @@ def single_beam_budget(config: ExperimentConfig) -> SingleBeamBudget:
         wrong_detector=y * f_wrong,
         detector_half_width=config.detector_half_width,
     )
-
-
-@dataclass(frozen=True)
-class Check:
-    """One cross-check: its name, whether it passed, and the measured figure."""
-
-    name: str
-    passed: bool
-    detail: str
-
-
-def crosscheck(config: ExperimentConfig) -> list[Check]:
-    """Check each closed form against an independent route.
-
-    Rows, in order, each with its pass condition:
-
-    * ``fringe_pitch_match``: the fringe spacing lies within 1 % of the pitch;
-    * ``absorbed_closed_vs_quadrature``: the closed-form absorbed fraction
-      and its Simpson quadrature agree to 1e-10 relative;
-    * ``fourier_oracle_vs_closed_form``: the quadrature intensity of the
-      wire-strip complement matches ``two_beam_grid_intensity`` at its fixed
-      scale 4 k^2, k = pi / d, normalised RMS below 1 %;
-    * ``fringe_oracle_vs_closed_form``: the quadrature amplitude of the
-      unmasked fringe field matches its closed form within 1e-3 of the peak.
-
-    The fringe field is built once, and the grid's strip shares split it into
-    the complement, share * field, and the masked rest, (1 - share) * field.
-    Each is transformed on the 1501 angles of ``symmetric_grid`` over |theta|
-    <= 2.5 mrad, whose samples negate bit-exactly, so ``_transform`` builds
-    one kernel per distinct |q| (751).  The unmasked field's amplitude is the
-    sum of the two, equal to its direct transform to rounding since the
-    trapezoid rule is linear.
-    """
-    import numpy as np
-    from .oracle import FieldProfile, _fringe_samples, far_field_amplitude  # so only validate loads it
-
-    mismatch = derive_geometry(config).fringe_consistency
-    checks = [
-        Check(
-            "fringe_pitch_match",
-            mismatch <= 0.01,
-            f"|fringe spacing - pitch| / pitch = {mismatch:.3g}",
-        )
-    ]
-
-    x_closed = absorbed_fraction_two_beams(config)
-    rel = abs(absorbed_fraction_quadrature(config) - x_closed) / x_closed
-    checks.append(
-        Check("absorbed_closed_vs_quadrature", rel < 1e-10, f"relative difference {rel:.3g}")
-    )
-
-    theta = symmetric_grid(0.0025, 1501)
-    x, share, field = _fringe_samples(config, 0.0025)
-    f_complement = far_field_amplitude(FieldProfile(x, share * field, config.wavelength), theta)
-    masked = FieldProfile(x, (1.0 - share) * field, config.wavelength)
-    f_full = f_complement + far_field_amplitude(masked, theta)
-
-    k = math.pi / config.wire_pitch
-    numeric = np.abs(f_complement) ** 2
-    closed = 4.0 * k * k * two_beam_grid_intensity(theta, config)
-    nrms = float(np.sqrt(np.mean((numeric - closed) ** 2)) / np.sqrt(np.mean(closed**2)))
-    checks.append(Check("fourier_oracle_vs_closed_form", nrms < 0.01, f"normalized RMS {nrms:.3g}"))
-
-    q = (2.0 * math.pi / config.wavelength) * np.sin(theta)
-    closed_amp = _fringe_amplitude(config, q)
-    deviation = float(np.max(np.abs(f_full - closed_amp)) / np.max(np.abs(closed_amp)))
-    checks.append(
-        Check(
-            "fringe_oracle_vs_closed_form",
-            deviation < 1e-3,
-            f"max deviation {deviation:.3g} of peak",
-        )
-    )
-    return checks

@@ -197,7 +197,7 @@ def _cmd_pattern(config: ExperimentConfig, theta_range=10.0, samples=4001) -> Re
     from .diffraction import symmetric_grid_list, two_beam_grid_intensity
 
     if samples < 3:
-        raise DomainError("samples must be at least 3")
+        raise DomainError(f"--samples must be at least 3, got {samples}")
     if not (theta_range > 0 and math.isfinite(theta_range)):
         raise DomainError(f"--theta-range must be positive and finite (mrad), got {theta_range:g}")
     theta_rad = symmetric_grid_list(theta_range * 1e-3, samples)
@@ -270,7 +270,7 @@ def _cmd_sweep(config: ExperimentConfig, b_min=1.0, b_max=150.0, steps=150) -> R
     from .complementarity import SweepRow, sweep_thickness
 
     if steps < 1:
-        raise DomainError("steps must be at least 1")
+        raise DomainError(f"--steps must be at least 1, got {steps}")
     for b in (b_min, b_max):  # before the grid spreads a nan or inf over every row
         if not math.isfinite(b):
             raise positive_finite_error("wire_thickness", b)
@@ -320,7 +320,7 @@ def _cmd_scenario(config: ExperimentConfig) -> Report:
 
 
 def _cmd_validate(config: ExperimentConfig) -> Report:
-    from .budget import crosscheck
+    from .oracle import crosscheck
 
     checks = crosscheck(config)
     rows = [{"check": c.name, "passed": c.passed, "detail": c.detail} for c in checks]

@@ -11,8 +11,9 @@ Every pattern the analysis uses is evaluated in closed form:
 
 Scalars (``int`` or ``float``, numpy's float64 included) run on ``math``;
 numpy is imported only where an array arrives, so ``wiregrid pattern``
-and ``budget`` load no numpy.  The Fourier-integral oracle that checks these
-forms, and the sampled patterns, live in ``oracle``.
+and ``budget`` load no numpy, and the angle grid is a list
+(``symmetric_grid_list``).  The checks of these forms, their numpy grid
+and the sampled patterns live in ``oracle``.
 
 Everything is scalar Fraunhofer on the plane containing the beams; only
 ratios of band integrals mean anything physically.
@@ -88,12 +89,12 @@ def two_beam_grid_intensity(theta, config: ExperimentConfig):
     gives a float, an array an array.
     """
     if isinstance(theta, (int, float)):
-        outside, sin = abs(theta) >= math.pi / 2, math.sin
+        inside, sin = abs(theta) < math.pi / 2, math.sin
     else:
         import numpy as np  # an array arrived, so numpy is loaded already
         theta = np.asarray(theta, dtype=float)
-        outside, sin = np.any(np.abs(theta) >= np.pi / 2), np.sin
-    if outside:
+        inside, sin = np.all(np.abs(theta) < np.pi / 2), np.sin
+    if not inside:  # nan fails too
         raise ValueError("theta must satisfy |theta| < pi/2")
     intensity = _grid_intensity(2.0 * math.pi / config.wavelength * abs(sin(theta)), config)
     return intensity if getattr(intensity, "ndim", 0) else float(intensity)
@@ -129,13 +130,6 @@ def symmetric_grid_list(half_range: float, n: int) -> list[float]:
         raise ValueError("need at least 2 samples")
     step, centre = 2.0 * half_range / (n - 1), (n - 1) / 2.0
     return [(i - centre) * step for i in range(n)]
-
-
-def symmetric_grid(half_range: float, n: int):
-    """``symmetric_grid_list`` as a numpy array."""
-    import numpy as np
-
-    return np.array(symmetric_grid_list(half_range, n))
 
 
 def _single_beam_amplitude(config: ExperimentConfig, q):

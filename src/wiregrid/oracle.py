@@ -1,18 +1,17 @@
-"""Fourier-integral oracle for the closed forms in ``diffraction``.
+"""Independent numerical checks of the closed forms in ``diffraction``.
 
-A numerical Fourier-integral quadrature over sampled aperture profiles
-(``far_field_amplitude``) is kept only as an independent check of those
-closed forms.  Its grid (``_aperture_grid``) puts every strip edge on a node
-and gives each node its share of a wire strip, so the fringe field, its
-Babinet complement on the strips and the masked remainder are products on
-one grid.  ``budget.crosscheck`` transforms the complement against the
-two-beam pattern at its fixed scale 4 k^2, and complement + masked against
-the unmasked fringe's closed form (``_fringe_amplitude``); the kernel is
-built once per distinct |q|, since F(-q) = conj F(q) for a real field.
-The sampled patterns (``two_beam_pattern``, ``single_beam_strip_far_field``,
-``band_power``) feed no budget; they remain as references for the tests and
-the benchmark probe.  ``crosscheck`` imports this module inside the
-function, so no subcommand but ``validate`` compiles it.
+``_cmd_validate`` imports this module, and ``crosscheck`` holds every check
+that ``validate`` runs: the absorbed fraction against Simpson quadrature
+(``absorbed_fraction_quadrature``), and the far fields against a
+Fourier-integral quadrature over sampled aperture profiles
+(``far_field_amplitude``).  Its grid (``_aperture_grid``) puts every strip
+edge on a node and gives each node its share of a wire strip, so the fringe
+field, its Babinet complement on the strips and the masked remainder are
+products on one grid; the kernel is built once per distinct |q|, since
+F(-q) = conj F(q) for a real field.  The sampled patterns
+(``two_beam_pattern``, ``single_beam_strip_far_field``, ``band_power``) feed
+no budget; they remain as references for the tests and the benchmark probe.
+No subcommand but ``validate`` compiles this module.
 """
 
 from __future__ import annotations
@@ -23,8 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig, wire_centers
-from .diffraction import _single_beam_amplitude, symmetric_grid, two_beam_grid_intensity
+from .complementarity import absorbed_fraction_two_beams
+from .config import ExperimentConfig, derive_geometry, wire_centers
+from .diffraction import (
+    _fringe_amplitude,
+    _single_beam_amplitude,
+    symmetric_grid_list,
+    two_beam_grid_intensity,
+)
 from .errors import BandRangeError, SamplingError
 
 
@@ -78,6 +83,11 @@ class FieldProfile:
             raise ValueError("wavelength must be positive")
         object.__setattr__(self, "x_samples", x)
         object.__setattr__(self, "amplitude_samples", amp)
+
+
+def symmetric_grid(half_range: float, n: int) -> np.ndarray:
+    """``symmetric_grid_list`` as a numpy array."""
+    return np.array(symmetric_grid_list(half_range, n))
 
 
 # ---------------------------------------------------------------------------
@@ -299,3 +309,98 @@ def single_beam_strip_far_field(config: ExperimentConfig) -> DiffractionPattern:
     theta, s0 = _single_beam_theta_grid(config, span)
     q = (2.0 * math.pi / config.wavelength) * (np.sin(theta) - s0)
     return DiffractionPattern(theta, _single_beam_amplitude(config, q) ** 2)
+
+
+# ---------------------------------------------------------------------------
+# the checks behind ``wiregrid validate``
+# ---------------------------------------------------------------------------
+
+# Simpson nodes per wire strip; odd, so the panels pair up.
+_SIMPSON_NODES = 4097
+
+
+def absorbed_fraction_quadrature(config: ExperimentConfig) -> float:
+    """Independent route to the absorbed fraction: composite-Simpson quadrature
+    of the squared fringe field over each wire strip at its actual position,
+    normalized by the same beam-average convention as the closed form.
+    """
+    d = config.wire_pitch
+    half = config.wire_thickness / 2.0
+    total = 0.0
+    for xc in wire_centers(config):
+        x = np.linspace(xc - half, xc + half, _SIMPSON_NODES)
+        y = np.cos(np.pi * x / d) ** 2
+        h = x[1] - x[0]
+        total += h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
+    return float(total / (config.beam_side / 2.0))
+
+
+@dataclass(frozen=True)
+class Check:
+    """One cross-check: its name, whether it passed, and the measured figure."""
+
+    name: str
+    passed: bool
+    detail: str
+
+
+def crosscheck(config: ExperimentConfig) -> list[Check]:
+    """Check each closed form against an independent route.
+
+    Rows, in order, each with its pass condition:
+
+    * ``fringe_pitch_match``: the fringe spacing lies within 1 % of the pitch;
+    * ``absorbed_closed_vs_quadrature``: the closed-form absorbed fraction
+      and its Simpson quadrature agree to 1e-10 relative;
+    * ``fourier_oracle_vs_closed_form``: the quadrature intensity of the
+      wire-strip complement matches ``two_beam_grid_intensity`` at its fixed
+      scale 4 k^2, k = pi / d, normalised RMS below 1 %;
+    * ``fringe_oracle_vs_closed_form``: the quadrature amplitude of the
+      unmasked fringe field matches its closed form within 1e-3 of the peak.
+
+    The fringe field is built once, and the grid's strip shares split it into
+    the complement, share * field, and the masked rest, (1 - share) * field.
+    Each is transformed on the 1501 angles of ``symmetric_grid`` over |theta|
+    <= 2.5 mrad, whose samples negate bit-exactly, so ``_transform`` builds
+    one kernel per distinct |q| (751).  The unmasked field's amplitude is the
+    sum of the two, equal to its direct transform to rounding since the
+    trapezoid rule is linear.
+    """
+    mismatch = derive_geometry(config).fringe_consistency
+    checks = [
+        Check(
+            "fringe_pitch_match",
+            mismatch <= 0.01,
+            f"|fringe spacing - pitch| / pitch = {mismatch:.3g}",
+        )
+    ]
+
+    x_closed = absorbed_fraction_two_beams(config)
+    rel = abs(absorbed_fraction_quadrature(config) - x_closed) / x_closed
+    checks.append(
+        Check("absorbed_closed_vs_quadrature", rel < 1e-10, f"relative difference {rel:.3g}")
+    )
+
+    theta = symmetric_grid(0.0025, 1501)
+    x, share, field = _fringe_samples(config, 0.0025)
+    f_complement = far_field_amplitude(FieldProfile(x, share * field, config.wavelength), theta)
+    masked = FieldProfile(x, (1.0 - share) * field, config.wavelength)
+    f_full = f_complement + far_field_amplitude(masked, theta)
+
+    k = math.pi / config.wire_pitch
+    numeric = np.abs(f_complement) ** 2
+    closed = 4.0 * k * k * two_beam_grid_intensity(theta, config)
+    nrms = float(np.sqrt(np.mean((numeric - closed) ** 2)) / np.sqrt(np.mean(closed**2)))
+    checks.append(Check("fourier_oracle_vs_closed_form", nrms < 0.01, f"normalized RMS {nrms:.3g}"))
+
+    q = (2.0 * math.pi / config.wavelength) * np.sin(theta)
+    closed_amp = _fringe_amplitude(config, q)
+    deviation = float(np.max(np.abs(f_full - closed_amp)) / np.max(np.abs(closed_amp)))
+    checks.append(
+        Check(
+            "fringe_oracle_vs_closed_form",
+            deviation < 1e-3,
+            f"max deviation {deviation:.3g} of peak",
+        )
+    )
+    return checks

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import wiregrid.budget
+import wiregrid.oracle
 from wiregrid import (
     DomainError,
     ExperimentConfig,
@@ -443,7 +443,7 @@ def test_each_crosscheck_row_can_fail_alone(reference_config, monkeypatch, row, 
     if attribute is None:
         config = reference_config.replace(crossing_angle=2.05e-3)
     else:
-        monkeypatch.setattr(wiregrid.budget, attribute, wrong)
+        monkeypatch.setattr(wiregrid.oracle, attribute, wrong)
     checks = crosscheck(config)
     assert [c.name for c in checks] == CROSSCHECK_ROWS
     assert [c.name for c in checks if not c.passed] == [row]

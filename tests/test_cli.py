@@ -378,10 +378,15 @@ def test_non_utf8_config_is_a_parse_error(tmp_path, capsys):
 
 
 def test_domain_error_is_exit_2(tmp_path, capsys):
-    rc = main(["pattern", "--samples", "2", "--out", str(tmp_path / "x.csv")])
-    assert rc == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"]["exit_code"] == 2
+    for argv, message in [
+        (["pattern", "--samples", "2"], "--samples must be at least 3, got 2"),
+        (["sweep", "--steps", "0"], "--steps must be at least 1, got 0"),
+    ]:
+        rc = main([*argv, "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["exit_code"] == 2
+        assert err["error"]["message"] == message
 
 
 def test_negative_seed_is_exit_2(tmp_path, capsys):
@@ -624,7 +629,7 @@ SUBCOMMAND_MODULES = {
     "sweep": {"complementarity"},
     "scenario": {"complementarity"},
     "budget": {"budget", "complementarity", "diffraction"},
-    "validate": {"budget", "complementarity", "diffraction", "oracle"},
+    "validate": {"complementarity", "diffraction", "oracle"},
     "simulate": {"budget", "complementarity", "diffraction", "montecarlo"},
 }
 _PRINT_WIREGRID_MODULES = (

@@ -506,6 +506,18 @@ def test_intensity_rejects_out_of_range_angle(reference_config):
         two_beam_grid_intensity(1.6, reference_config)
 
 
+@pytest.mark.parametrize(
+    "theta",
+    [math.nan, math.pi / 2, -math.pi / 2, np.array([0.0, 1e-3, math.nan]),
+     np.array([-1e-3, math.pi / 2]), np.array([-math.pi / 2, 0.0])],
+    ids=["nan", "+pi/2", "-pi/2", "array-nan", "array+pi/2", "array-pi/2"],
+)
+def test_intensity_rejects_nan_and_grazing_angles(reference_config, theta):
+    # the guard asks for |theta| < pi/2, which a nan fails as well
+    with pytest.raises(ValueError, match=r"theta must satisfy \|theta\| < pi/2"):
+        two_beam_grid_intensity(theta, reference_config)
+
+
 # ---------------------------------------------------------------------------
 # single beam
 # ---------------------------------------------------------------------------
