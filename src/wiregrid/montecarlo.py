@@ -4,10 +4,11 @@ Each photon's randomness comes from a counter-based generator keyed by the
 seed and indexed by the photon number (Philox 2x32 with 10 rounds, the
 standard Random123 construction), so tallies are bit-identical no matter
 how the photon range is chunked or parallelized.  One routine,
-``_philox_words``, fills caller-given arrays with the photons' 64-bit words
-for both ``photon_uniforms`` and ``sample_fates`` in about 48 numpy calls.
+``_philox_words``, keeps each photon's state in one uint64 and fills a
+caller-given pair of arrays with the photons' 64-bit words for both
+``photon_uniforms`` and ``sample_fates`` in 47 numpy calls.
 ``sample_fates`` splits the range into contiguous spans of fixed
-2**15-photon chunks, at most one span per usable core and at least four
+2**16-photon chunks, at most one span per usable core and at least four
 chunks per span, and tallies the spans on threads.  Each span reuses one
 workspace for every chunk and tallies each photon by comparing its word
 with integer thresholds, which is exactly equivalent to comparing its
@@ -32,54 +33,50 @@ from .config import ExperimentConfig
 from .errors import DomainError
 
 _PHILOX_M = np.uint64(0xD256D193)
-_PHILOX_W = np.uint64(0x9E3779B9)
-_MASK32 = np.uint64(0xFFFFFFFF)
+_PHILOX_W = 0x9E3779B9
 _SHIFT32 = np.uint64(32)
 _SHIFT11 = np.uint64(11)
-# Photons per chunk: the working arrays of a chunk stay in cache.
-_CHUNK = 1 << 15
+# Photons per chunk: a span's working set, the step array and the two
+# state arrays, is 3 * 512 KiB = 1.5 MiB and fits a 2 MiB per-core L2.
+_CHUNK = 1 << 16
 # A span on its own thread pays for the thread and for handing the
-# interpreter lock back and forth around each of the ~50 numpy calls per
-# chunk.  On a loaded 2-core host two threads over the four chunks of 10**5
+# interpreter lock back and forth around each of the 47 numpy calls per
+# chunk.  On a loaded 2-core host two threads over the two chunks of 10**5
 # photons ran slower than one, so no span gets fewer chunks than this.
 _MIN_SPAN_CHUNKS = 4
 
 
-def _philox_words(scaled, start: int, key: int, lo, hi, word) -> None:
+def _philox_words(scaled, start: int, key: int, word, spare) -> None:
     """Fill word with the 64-bit Philox words of photons start + i under key.
 
     Philox2x32-10 (Salmon et al., SC'11): the photon index is the counter
-    (low word, high word), the key is the seed, and the first output word
-    is the high half of the result.  scaled[i] is i times the multiplier M;
-    scaled, lo, hi and word are uint64 arrays of one shape, lo and hi are
-    scratch.  The range is split at each 2**32 counter edge, so the high
-    counter word is a constant, and round 10 is joined in its product.
+    (low word L, high word R), the key is the seed, and the first output
+    word is the high half of the result.  Each photon's state is one
+    uint64 (L << 32) | R, so after round 10 it is the word itself.
+    scaled[i] is i times the multiplier M; scaled, word and spare are
+    uint64 arrays of one shape, spare is scratch.  The range is split at
+    each 2**32 counter edge, so the high counter word is a constant.
     """
     edge = 2**32 - start % 2**32
     if edge < len(word):
         rest = len(word) - edge
-        _philox_words(scaled[:edge], start, key, lo[:edge], hi[:edge], word[:edge])
-        _philox_words(scaled[:rest], start + edge, key, lo[edge:], hi[edge:], word[edge:])
+        _philox_words(scaled[:edge], start, key, word[:edge], spare[:edge])
+        _philox_words(scaled[:rest], start + edge, key, word[edge:], spare[edge:])
         return
-    # round 1: (low counter word) * M < 2**64 is scaled + (start mod 2**32) * M
-    np.add(scaled, np.uint64(start % 2**32 * int(_PHILOX_M)), out=word)
-    np.right_shift(word, _SHIFT32, out=lo)
-    lo ^= np.uint64((start >> 32) ^ key)
-    np.bitwise_and(word, _MASK32, out=hi)
-    k = np.uint64(key)
-    for _ in range(8):
-        k = (k + _PHILOX_W) & _MASK32
-        np.multiply(lo, _PHILOX_M, out=word)  # operands < 2^32, exact in uint64
-        # word >> 32, hi and k are all below 2^32, so the new lo needs no mask
-        np.right_shift(word, _SHIFT32, out=lo)
-        lo ^= hi
-        lo ^= k
-        np.bitwise_and(word, _MASK32, out=hi)
-    # round 10: (new lo << 32) | new hi is the product xored by (hi ^ k) << 32
-    np.multiply(lo, _PHILOX_M, out=word)
-    hi ^= (k + _PHILOX_W) & _MASK32
-    hi <<= _SHIFT32
-    word ^= hi
+    # round 1: L * M < 2**64 is scaled + (start mod 2**32) * M, and R ^ key
+    # lands in the high half
+    state, other = spare, word
+    np.add(scaled, np.uint64(start % 2**32 * int(_PHILOX_M)), out=state)
+    state ^= np.uint64(((start >> 32) ^ key) << 32)
+    for r in range(1, 10):
+        # the new state is L * M xored by (R ^ k) << 32; L * M < 2**64
+        np.right_shift(state, _SHIFT32, out=other)
+        other *= _PHILOX_M
+        state ^= np.uint64((key + r * _PHILOX_W) % 2**32)
+        state <<= _SHIFT32
+        other ^= state
+        state, other = other, state
+    # nine swaps after round 1 wrote spare, round 10 wrote word
 
 
 def _check_photon_range(seed: int, start: int, count: int) -> tuple[int, int, int]:
@@ -109,10 +106,10 @@ def _check_photon_range(seed: int, start: int, count: int) -> tuple[int, int, in
 def _photon_words(seed: int, start: int, count: int) -> np.ndarray:
     """The 64-bit Philox words of photons [start, start + count) under seed."""
     seed, start, count = _check_photon_range(seed, start, count)
-    lo, hi, word = (np.empty(count, dtype=np.uint64) for _ in range(3))
+    word, spare = np.empty((2, count), dtype=np.uint64)
     scaled = np.arange(count, dtype=np.uint64) * _PHILOX_M
     # only an empty range may start at 2**64, one past the last counter
-    _philox_words(scaled, start % 2**64, seed, lo, hi, word)
+    _philox_words(scaled, start % 2**64, seed, word, spare)
     return word
 
 
@@ -191,13 +188,13 @@ def _tally_span(seed: int, thresholds: list, begin: int, end: int) -> list[int]:
     """
     size = min(_CHUNK, end - begin)
     scaled = np.arange(size, dtype=np.uint64) * _PHILOX_M
-    lo, hi, word = np.empty((3, size), dtype=np.uint64)
+    word, spare = np.empty((2, size), dtype=np.uint64)
     below = [0] * len(thresholds)
     for start in range(begin, end, _CHUNK):
         count = min(_CHUNK, end - start)
         if count < size:  # only the last chunk is short
-            scaled, lo, hi, word = (a[:count] for a in (scaled, lo, hi, word))
-        _philox_words(scaled, start, seed, lo, hi, word)
+            scaled, word, spare = scaled[:count], word[:count], spare[:count]
+        _philox_words(scaled, start, seed, word, spare)
         tail = word
         for k, t in enumerate(thresholds):
             if t is None:
@@ -219,15 +216,15 @@ def sample_fates(budget: PhotonBudget, n: int, seed: int) -> FateCounts:
     uniform u_i from ``photon_uniforms``.  Without building the uniforms,
     each chunk counts the Philox words below ``ceil(e * 2**53) * 2**11`` for
     each cumulative probability e < 1, which is exactly the test u_i < e.
-    The fixed chunk of ``_CHUNK`` (2**15) photons keeps the working arrays
+    The fixed chunk of ``_CHUNK`` (2**16) photons keeps the working arrays
     in cache.  The chunks are split into contiguous spans, at most one per
     usable core and at least ``_MIN_SPAN_CHUNKS`` chunks each (so a short
     range is one span); the first span runs on the calling thread and each
     other span on its own thread, and the spans' counts are summed.
     """
+    seed, _, n = _check_photon_range(seed, 0, n)
     if n < 1:
         raise ValueError("n must be a positive integer")
-    seed, _, n = _check_photon_range(seed, 0, n)
     # the last edge is 1, which every uniform lies below
     thresholds = [_word_threshold(edge) for edge in np.cumsum(budget.fate_probabilities())[:-1]]
     chunks = -(-n // _CHUNK)

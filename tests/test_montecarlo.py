@@ -298,8 +298,12 @@ def test_word_threshold_at_one_counts_every_word():
 def test_nonpositive_n_rejected():
     with pytest.raises(ValueError, match="positive"):
         sample_fates(make_budget(), 0, 0)
+    # a negative count leaves the photon range
+    with pytest.raises(DomainError, match="photon range"):
+        sample_fates(make_budget(), -1, 0)
     # a float or a bool is no photon count, seed or index, even an integral one
-    for n, seed in [(1e6, 0), (2.5, 0), (10, 3.0), (True, True), (10, False)]:
+    for n, seed in [(1e6, 0), (2.5, 0), (0.5, 0), (-2.0, 0), ("10", 0), (None, 0),
+                    (10, 3.0), (True, True), (10, False)]:
         with pytest.raises(DomainError, match="must be integers"):
             sample_fates(make_budget(), n, seed)
     for start in (1.0, True):
@@ -324,7 +328,7 @@ SPLIT_N = 100_001
 @pytest.mark.parametrize("budget_name", ["reference", "zero-probability-fate"])
 @pytest.mark.parametrize(
     "n,chunk_size",
-    [(SPLIT_N, 977), (SPLIT_N, 2**15), (SPLIT_N, SPLIT_N - 1), (5_000, 2**15)],
+    [(SPLIT_N, 977), (SPLIT_N, 2**15), (SPLIT_N, 2**16), (SPLIT_N, SPLIT_N - 1), (5_000, 2**15)],
 )
 @pytest.mark.parametrize("cores", [1, 2, 3, 7])
 def test_counts_do_not_depend_on_core_count(monkeypatch, budget_name, n, chunk_size, cores):
@@ -399,8 +403,17 @@ def test_error_in_a_worker_span_is_raised_by_the_caller(monkeypatch):
         sample_fates(make_budget(), SPLIT_N, 7)
 
 
-@pytest.mark.parametrize("begin,end", [(2**32 - 40_000, 2**32 + 30_000), (2**64 - 70_000, 2**64)])
-@pytest.mark.parametrize("chunk_size", [977, 2**15])
+@pytest.mark.parametrize(
+    "begin,end",
+    [
+        (2**32 - 40_000, 2**32 + 30_000),
+        (2**64 - 70_000, 2**64),
+        # at 2**16 photons a chunk: four whole chunks, the edge in the third,
+        # then a short one, all through one reused workspace
+        (2**32 - 2**17 - 1_000, 2**32 + 2**17 + 5_000),
+    ],
+)
+@pytest.mark.parametrize("chunk_size", [977, 2**15, 2**16])
 def test_span_tally_matches_words_across_counter_edges(monkeypatch, begin, end, chunk_size):
     monkeypatch.setattr(montecarlo, "_CHUNK", chunk_size)
     thresholds = [None, np.uint64(0), np.uint64(2**63), np.uint64(2**64 - 2**11)]

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import wiregrid
-from wiregrid import ExperimentConfig, cli
+from wiregrid import ExperimentConfig, cli, montecarlo
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 FIGURES_HEADER = "| Figure | Paper | Computed | Gap | Override | Expression |"
@@ -62,3 +62,13 @@ def test_readme_reproduction_figure(row):
         return
     rel = value / (float(paper.removesuffix(" %")) / 100) - 1
     assert _agrees(rel, gap), f"{figure}: relative gap {rel!r}, README quotes {gap}"
+
+
+def test_readme_quotes_the_monte_carlo_chunking():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    chunk = re.search(r"chunks of 2\*\*(\d+) photons", text).group(1)
+    assert 2 ** int(chunk) == montecarlo._CHUNK
+    no_thread = re.search(r"\(up to ([\d,]+) photons\) starts no thread", text).group(1)
+    assert int(no_thread.replace(",", "")) == (
+        (2 * montecarlo._MIN_SPAN_CHUNKS - 1) * montecarlo._CHUNK
+    )
