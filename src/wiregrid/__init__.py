@@ -33,17 +33,15 @@ _PUBLIC = {
     ),
     "diffraction": ("detector_windows", "first_order_window", "two_beam_grid_intensity"),
     "errors": (
-        "BandRangeError", "ConfigError", "ConfigParseError", "DomainError", "SamplingError",
-        "WiregridError",
+        "ConfigError", "ConfigParseError", "DomainError", "SamplingError", "WiregridError",
     ),
     "montecarlo": (
         "EmpiricalMetrics", "FateCounts", "estimate_metrics", "photon_uniforms", "sample_fates",
     ),
     "oracle": (
-        "Check", "DiffractionPattern", "FieldProfile", "absorbed_fraction_quadrature",
-        "band_power", "crosscheck", "far_field_amplitude", "fringe_field_profile",
-        "single_beam_strip_far_field", "symmetric_grid", "two_beam_pattern",
-        "wire_strip_complement_profile",
+        "Check", "absorbed_fraction_quadrature", "band_power", "crosscheck",
+        "far_field_amplitude", "single_beam_strip_far_field", "symmetric_grid",
+        "two_beam_pattern", "wire_strip_complement_profile",
     ),
 }
 # public name -> the module that defines it

@@ -93,22 +93,17 @@ class PhotonBudget:
 
 @dataclass(frozen=True)
 class SingleBeamBudget:
-    """Photon fates for one beam alone (uniform illumination of the grid).
-
-    ``detector_half_width`` echoes the window the band fractions were taken
-    over, because the decrease numbers are calibration-sensitive to it.
-    """
+    """Photon fates for one beam alone (uniform illumination of the grid)."""
 
     blocked: float
     own_detector_decrease: float
     wrong_detector: float
-    detector_half_width: float
 
     def __post_init__(self):
-        for name in ("blocked", "own_detector_decrease", "wrong_detector"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must be a fraction in [0, 1], got {v!r}")
+                raise ValueError(f"{f.name} must be a fraction in [0, 1], got {v!r}")
         if self.own_detector_decrease < self.blocked - 1e-12:
             raise ValueError("own_detector_decrease must include at least the blocked share")
 
@@ -241,5 +236,4 @@ def single_beam_budget(config: ExperimentConfig) -> SingleBeamBudget:
         blocked=y,
         own_detector_decrease=y * (2.0 - f_own),
         wrong_detector=y * f_wrong,
-        detector_half_width=config.detector_half_width,
     )

@@ -7,8 +7,8 @@ subcommand's: parsing, ``--version``, config errors, ``pattern``,
 ``budget``, ``metrics``, ``sweep`` and ``scenario`` load no numpy.
 
 Exit codes: 0 success, 1 configuration or parse error, 2 numeric/domain
-error, 3 I/O error.  Errors are written to stderr as a one-line JSON
-object so scripted callers can branch on them.
+error (an overflow included), 3 I/O error.  Errors are written to stderr
+as a one-line JSON object so scripted callers can branch on them.
 """
 
 from __future__ import annotations
@@ -198,6 +198,8 @@ def _cmd_pattern(config: ExperimentConfig, theta_range=10.0, samples=4001) -> Re
 
     if samples < 3:
         raise DomainError(f"--samples must be at least 3, got {samples}")
+    if samples > 10**6:
+        raise DomainError(f"--samples must be at most 1000000, got {samples}")
     if not (theta_range > 0 and math.isfinite(theta_range)):
         raise DomainError(f"--theta-range must be positive and finite (mrad), got {theta_range:g}")
     theta_rad = symmetric_grid_list(theta_range * 1e-3, samples)
@@ -225,7 +227,6 @@ def _cmd_budget(config: ExperimentConfig) -> Report:
     single = asdict(single_beam_budget(config))
     windows = detector_windows(config)
     n = config.photon_count
-    half_width = single.pop("detector_half_width")
     single_counts = {name: fraction * n for name, fraction in single.items()}
     return Report({
         "detector_windows_rad": {
@@ -235,7 +236,7 @@ def _cmd_budget(config: ExperimentConfig) -> Report:
         },
         "two_beam_fractions": asdict(two),
         "two_beam_counts": two.expected_counts(n),
-        "single_beam": {**single, "detector_half_width_rad": half_width},
+        "single_beam": {**single, "detector_half_width_rad": config.detector_half_width},
         "single_beam_counts": single_counts,
     })
 
@@ -271,6 +272,8 @@ def _cmd_sweep(config: ExperimentConfig, b_min=1.0, b_max=150.0, steps=150) -> R
 
     if steps < 1:
         raise DomainError(f"--steps must be at least 1, got {steps}")
+    if steps > 10**6:
+        raise DomainError(f"--steps must be at most 1000000, got {steps}")
     for b in (b_min, b_max):  # before the grid spreads a nan or inf over every row
         if not math.isfinite(b):
             raise positive_finite_error("wire_thickness", b)
@@ -439,7 +442,7 @@ def main(argv: list[str] | None = None) -> int:
         return run(request)
     except ConfigError as exc:
         return _emit_error(exc, 1)
-    except (WiregridError, ValueError) as exc:
+    except (WiregridError, ValueError, ArithmeticError) as exc:
         return _emit_error(exc, 2)
     except OSError as exc:
         return _emit_error(exc, 3)

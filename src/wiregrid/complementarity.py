@@ -67,15 +67,15 @@ def _duality_sum(whichway, visibility):
     return whichway * whichway + visibility * visibility
 
 
-def _require(ok, values, message: str) -> None:
-    """Raise DomainError naming the first of ``values`` where ``ok`` is false."""
+def _require(ok, message: str, *values) -> None:
+    """Raise DomainError, ``message`` formatted by ``values`` where ``ok`` is first false."""
     if ok is True or (ok is not False and ok.all()):
         return
-    bad = values
     if ok is not False:
         import numpy as np  # an array arrived, so numpy is loaded already
-        bad = np.broadcast_to(values, np.shape(ok))[np.logical_not(ok)][0]
-    raise DomainError(f"{message}, got {float(bad)!r}")
+        bad = np.logical_not(ok)
+        values = [np.broadcast_to(v, np.shape(ok))[bad][0] for v in values]
+    raise DomainError(message.format(*map(float, values)))
 
 
 def _coverage_formula(b, wire_count: int, beam_side: float):
@@ -114,11 +114,11 @@ def absorbed_fraction_two_beams(config: ExperimentConfig) -> float:
 
 
 def _check_covered(y) -> None:
-    _require((0.0 < y) & (y < 1.0), y, "covered fraction must lie in (0, 1)")
+    _require((0.0 < y) & (y < 1.0), "covered fraction must lie in (0, 1), got {!r}", y)
 
 
 def _check_absorbed(x) -> None:
-    _require((0.0 <= x) & (x < 1.0), x, "absorbed fraction must lie in [0, 1)")
+    _require((0.0 <= x) & (x < 1.0), "absorbed fraction must lie in [0, 1), got {!r}", x)
 
 
 def worst_case_intensity_pair(absorbed, covered, photons, beam_area):
@@ -149,16 +149,12 @@ def visibility_lower_bound(absorbed, covered):
     Elementwise; float fractions give a float.
     """
     i_min, i_max = worst_case_intensity_pair(absorbed, covered, 1.0, 1.0)
-    over = i_min > i_max
-    if over is True or (over is not False and over.any()):
-        xb, yb = absorbed, covered
-        if over is not True:
-            import numpy as np  # an array arrived, so numpy is loaded already
-            xb, yb = (np.broadcast_to(a, np.shape(over))[over][0] for a in (absorbed, covered))
-        raise DomainError(
-            f"absorbed fraction x={xb:g} exceeds the uniform share for y={yb:g}; "
-            f"the square-profile visibility bound would be negative"
-        )
+    _require(
+        i_min <= i_max,
+        "absorbed fraction x={:g} exceeds the uniform share for y={:g}; "
+        "the square-profile visibility bound would be negative",
+        absorbed, covered,
+    )
     return (i_max - i_min) / (i_max + i_min)
 
 
@@ -172,8 +168,8 @@ def classical_whichway(absorbed):
     a float fraction gives a float.
     """
     _require(
-        (0.0 <= absorbed) & (absorbed <= 0.5), absorbed,
-        "classical which-way bound needs absorbed fraction in [0, 1/2]",
+        (0.0 <= absorbed) & (absorbed <= 0.5),
+        "classical which-way bound needs absorbed fraction in [0, 1/2], got {!r}", absorbed,
     )
     return 1.0 - 2.0 * absorbed
 

@@ -27,7 +27,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .budget import PhotonBudget
 from .complementarity import ComplementarityReport, coverage_fraction, fraction_report
 from .config import ExperimentConfig
 from .errors import DomainError

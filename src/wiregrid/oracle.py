@@ -134,26 +134,13 @@ def _fringe_samples(config: ExperimentConfig, max_sin_theta: float) -> tuple[np.
     return x, share, np.cos(np.pi * x / d)
 
 
-def fringe_field_profile(config: ExperimentConfig, *, max_sin_theta: float = 0.02) -> FieldProfile:
-    """Crossed-beam fringe field at the grid plane, without the grid.
-
-    The two beams produce amplitude fringes of period twice the intensity
-    fringe spacing; with the wires centred on consecutive dark fringes at
-    +-pitch/2, +-3*pitch/2, ... the field is cos(pi x / d), which vanishes
-    exactly at every wire centre.  ``max_sin_theta`` is the largest angle
-    the profile's sampling supports in a far-field transform.
-    """
-    x, _, field = _fringe_samples(config, max_sin_theta)
-    return FieldProfile(x, field, config.wavelength)
-
-
 def wire_strip_complement_profile(
     config: ExperimentConfig, max_sin_theta: float = 0.02
 ) -> FieldProfile:
     """Fringe field restricted to the wire strips (the Babinet complement).
 
-    It shares the grid of ``fringe_field_profile``; subtracting it from that
-    profile node-for-node gives the field with the strips blacked out.
+    It shares the full fringe field's grid (``_fringe_samples``); subtracting
+    it from that field node-for-node gives the field with the strips blacked out.
     """
     x, share, field = _fringe_samples(config, max_sin_theta)
     # where() keeps the off-strip zeros positive, as share * field would not

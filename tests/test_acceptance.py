@@ -149,7 +149,7 @@ def test_criterion_07_complementarity_sums(reference_config):
     )
 
 
-def test_criterion_08_single_beam_budget(reference_single_budget):
+def test_criterion_08_single_beam_budget(reference_config, reference_single_budget):
     s = reference_single_budget
     ok_dec = abs(s.own_detector_decrease - 0.1438) / 0.1438 < 0.15
     ok_wrong = abs(s.wrong_detector - 0.0066) / 0.0066 < 0.25
@@ -158,7 +158,7 @@ def test_criterion_08_single_beam_budget(reference_single_budget):
         ok_dec and ok_wrong,
         f"own-detector decrease = {s.own_detector_decrease:.4f} (14.38% +- 15% rel), "
         f"wrong detector = {s.wrong_detector:.5f} (0.66% +- 25% rel), "
-        f"detector half-width = {s.detector_half_width:g} rad",
+        f"detector half-width = {reference_config.detector_half_width:g} rad",
     )
 
 

@@ -264,10 +264,6 @@ def test_single_beam_wrong_detector(reference_single_budget):
     assert reference_single_budget.wrong_detector == pytest.approx(0.0066, rel=0.25)
 
 
-def test_single_beam_reports_window(reference_config, reference_single_budget):
-    assert reference_single_budget.detector_half_width == reference_config.detector_half_width
-
-
 def test_single_beam_decrease_includes_blocking(reference_single_budget):
     assert reference_single_budget.own_detector_decrease >= reference_single_budget.blocked
 

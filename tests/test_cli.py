@@ -389,6 +389,37 @@ def test_domain_error_is_exit_2(tmp_path, capsys):
         assert err["error"]["message"] == message
 
 
+@pytest.mark.parametrize(
+    "argv, grid_builder",
+    [(["pattern", "--samples"], "wiregrid.diffraction.symmetric_grid_list"),
+     (["sweep", "--steps"], "wiregrid.cli._linspace")],
+    ids=["samples", "steps"],
+)
+def test_grid_size_is_capped_before_any_grid(capsys, monkeypatch, argv, grid_builder):
+    def refuse(*args):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(grid_builder, refuse)
+    assert main([*argv, str(10**6 + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == {
+        "type": "DomainError",
+        "message": f"{argv[1]} must be at most 1000000, got 1000001",
+        "exit_code": 2,
+    }
+
+
+def test_overflow_is_exit_2_with_one_json_line(capsys):
+    # (beam_side in mm) ** 2 overflows a float in metrics' per-mm^2 intensities
+    assert main(["metrics", "--override", "beam_side=1e300um"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    error = json.loads(line)["error"]
+    assert (error["type"], error["exit_code"]) == ("OverflowError", 2)
+
+
 def test_negative_seed_is_exit_2(tmp_path, capsys):
     rc = main(["simulate", "--seed", "-1", "--out", str(tmp_path / "s.json")])
     assert rc == 2
@@ -654,6 +685,13 @@ def test_cli_import_version_and_config_errors_load_no_numpy():
     assert set(_stdout(_fresh_process(code)).split()) == CLI_FLOOR
 
 
+def test_montecarlo_import_loads_no_budget_or_diffraction():
+    # sample_fates names PhotonBudget only in an annotation, which is never evaluated
+    code = "import sys\nimport wiregrid.montecarlo\n" + _PRINT_WIREGRID_MODULES
+    loaded = set(_stdout(_fresh_process(code)).split())
+    assert loaded == {"montecarlo", "complementarity", "config", "errors"}
+
+
 # The subcommands that run on math alone: they load no numpy.
 NUMPY_FREE_SUBCOMMANDS = {"pattern", "budget", "metrics", "sweep", "scenario"}
 
@@ -684,8 +722,7 @@ def test_budget_prints_the_library_budgets_bit_for_bit(overrides):
     code = "import sys\nfrom wiregrid.cli import main\nsys.exit(main(['budget', *sys.argv[1:]]))\n"
     printed = json.loads(_stdout(_fresh_process(code, *args)))
     cfg = apply_overrides(ExperimentConfig(), overrides)
-    single = asdict(single_beam_budget(cfg))
-    single["detector_half_width_rad"] = single.pop("detector_half_width")
+    single = {**asdict(single_beam_budget(cfg)), "detector_half_width_rad": cfg.detector_half_width}
     assert printed["two_beam_fractions"] == asdict(two_beam_budget(cfg))
     assert printed["single_beam"] == single
 

@@ -345,6 +345,12 @@ def test_elementwise_bounds_name_the_first_bad_value():
     assert classical_whichway(xs[:1]).tolist() == [1.0 - 2.0 * 0.1]
     with pytest.raises(DomainError, match="x=0.5 exceeds the uniform share for y=0.1"):
         visibility_lower_bound(np.array([0.01, 0.5]), np.array([0.1, 0.1]))
+    # a scalar covered fraction broadcasts against the absorbed array
+    with pytest.raises(DomainError, match="x=0.3 exceeds the uniform share for y=0.2;"):
+        visibility_lower_bound(np.array([0.01, 0.3, 0.4]), 0.2)
+    # the first failing element is named, not the first element
+    with pytest.raises(DomainError, match=r"x=0\.4 exceeds the uniform share for y=0\.3;"):
+        visibility_lower_bound(np.array([0.01, 0.02, 0.4, 0.5]), np.array([0.1, 0.2, 0.3, 0.3]))
 
 
 @pytest.mark.parametrize(

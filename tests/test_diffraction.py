@@ -6,17 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wiregrid import (
-    BandRangeError,
-    DiffractionPattern,
     DomainError,
-    FieldProfile,
     SamplingError,
     band_fraction,
     band_power,
     crosscheck,
     far_field_amplitude,
     first_order_window,
-    fringe_field_profile,
     single_beam_strip_far_field,
     symmetric_grid,
     two_beam_grid_intensity,
@@ -26,7 +22,15 @@ from wiregrid import (
 )
 import wiregrid.oracle
 from wiregrid.diffraction import _single_beam_amplitude, _sinc, symmetric_grid_list
-from wiregrid.oracle import _aperture_grid, _single_beam_theta_grid, _transform
+from wiregrid.errors import BandRangeError
+from wiregrid.oracle import (
+    DiffractionPattern,
+    FieldProfile,
+    _aperture_grid,
+    _fringe_samples,
+    _single_beam_theta_grid,
+    _transform,
+)
 
 LAM = 638e-9
 D = 319e-6
@@ -166,40 +170,35 @@ def test_intensity_independent_of_grid_partition(reference_config):
 # ---------------------------------------------------------------------------
 
 def test_fringe_field_dark_at_every_wire_center(reference_config):
-    profile = fringe_field_profile(reference_config)
+    x, _, field = _fringe_samples(reference_config, 0.02)
     for xc in wire_centers(reference_config):
-        amp = np.interp(xc, profile.x_samples, profile.amplitude_samples)
-        assert abs(amp) < 1e-12
+        assert abs(np.interp(xc, x, field)) < 1e-12
 
 
 def test_fringe_field_quarter_pitch_amplitude(reference_config):
-    profile = fringe_field_profile(reference_config)
-    peak = np.max(np.abs(profile.amplitude_samples))
+    x, _, field = _fringe_samples(reference_config, 0.02)
+    peak = np.max(np.abs(field))
     # linear interpolation between nodes costs ~1e-4 here; the node values
     # themselves carry the exact sinusoid
-    amp = np.interp(D / 4, profile.x_samples, profile.amplitude_samples)
+    amp = np.interp(D / 4, x, field)
     assert abs(amp) / peak == pytest.approx(math.sqrt(2) / 2, rel=1e-3)
-    idx = int(np.argmin(np.abs(profile.x_samples - D / 4)))
-    x_node = profile.x_samples[idx]
-    assert profile.amplitude_samples[idx] == pytest.approx(
-        math.cos(math.pi * x_node / D), rel=1e-12
-    )
+    idx = int(np.argmin(np.abs(x - D / 4)))
+    assert field[idx] == pytest.approx(math.cos(math.pi * x[idx] / D), rel=1e-12)
 
 
 def test_profiles_share_grid_and_add_exactly(reference_config):
-    full = fringe_field_profile(reference_config)
+    x, _, field = _fringe_samples(reference_config, 0.02)
     complement = wire_strip_complement_profile(reference_config)
-    assert np.array_equal(full.x_samples, complement.x_samples)
+    assert np.array_equal(x, complement.x_samples)
     # the masked field full - complement is zero inside every strip and adds
     # back to the full field node for node
-    masked = full.amplitude_samples - complement.amplitude_samples
-    x = full.x_samples
+    masked = field - complement.amplitude_samples
     b = reference_config.wire_thickness
     for xc in wire_centers(reference_config):
         assert np.all(masked[np.abs(x - xc) < b / 2 * 0.999] == 0.0)
         # at least 64 samples across each wire width
         assert np.count_nonzero(np.abs(x - xc) <= b / 2) >= 64
-    assert np.array_equal(masked + complement.amplitude_samples, full.amplitude_samples)
+    assert np.array_equal(masked + complement.amplitude_samples, field)
 
 
 @pytest.mark.parametrize("strip_sampling", ["gap_spacing", "fine"])
@@ -234,12 +233,6 @@ def test_aperture_grid_marks_the_wire_strips(
     assert np.trapezoid(share, x) == pytest.approx(wire_count * b, rel=1e-12, abs=0)
 
 
-def test_fringe_profile_angle_is_keyword_only(reference_config):
-    # a stale positional grid flag must not be taken as an angle
-    with pytest.raises(TypeError):
-        fringe_field_profile(reference_config, False)
-
-
 # ---------------------------------------------------------------------------
 # Fourier oracle
 # ---------------------------------------------------------------------------
@@ -269,14 +262,13 @@ class _OuterRecorder:
 def test_transform_matches_dense_trapezoid(reference_config, monkeypatch, profile):
     # non-even profiles exercise the sine term, the masked ones the dropped
     # zero nodes; the distinct |q| of 301 angles span two chunks
-    full = fringe_field_profile(reference_config)
-    x = full.x_samples
+    x, _, field = _fringe_samples(reference_config, 0.02)
     d = reference_config.wire_pitch
     complement = wire_strip_complement_profile(reference_config).amplitude_samples
     amp = {
         "one_sided_sine": np.where(x > 0, np.sin(np.pi * x / d), 0.0),
         "shifted_cosine": np.cos(np.pi * (x - d / 8) / d),
-        "masked": full.amplitude_samples - complement,
+        "masked": field - complement,
         "complement": complement,
         "zero": np.zeros_like(x),
     }[profile]
@@ -300,7 +292,7 @@ def test_transform_matches_dense_trapezoid(reference_config, monkeypatch, profil
 def test_mirrored_transform_matches_dense_trapezoid(reference_config, monkeypatch, case):
     # a profile with no parity has a real and an imaginary part, so each
     # q < 0 must take the conjugate of its |q| row, not a copy of it
-    x = fringe_field_profile(reference_config).x_samples
+    x, _, _ = _fringe_samples(reference_config, 0.02)
     amp = np.where(x > -0.3e-3, np.cos(np.pi * (x - 45e-6) / D), 0.0)
     grid = symmetric_grid(2.5e-3, 101)
     theta = {
@@ -362,10 +354,9 @@ def test_uniform_aperture_gives_sinc_squared():
 
 
 def test_even_profile_gives_even_pattern(reference_config):
-    full = fringe_field_profile(reference_config)
+    x, _, field = _fringe_samples(reference_config, 0.02)
     complement = wire_strip_complement_profile(reference_config)
-    masked = full.amplitude_samples - complement.amplitude_samples
-    profile = FieldProfile(full.x_samples, masked, LAM)
+    profile = FieldProfile(x, field - complement.amplitude_samples, LAM)
     theta = np.linspace(-2.4e-3, 2.4e-3, 961)
     inten = np.abs(far_field_amplitude(profile, theta)) ** 2
     assert np.allclose(inten, inten[::-1], rtol=1e-9)
