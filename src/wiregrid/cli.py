@@ -6,9 +6,10 @@ Each subcommand computes a ``Report`` from the config and its options;
 subcommand's: parsing, ``--version``, config errors, ``pattern``,
 ``budget``, ``metrics``, ``sweep`` and ``scenario`` load no numpy.
 
-Exit codes: 0 success, 1 configuration or parse error, 2 numeric/domain
-error (an overflow included), 3 I/O error.  Errors are written to stderr
-as a one-line JSON object so scripted callers can branch on them.
+Exit codes: 0 success, 1 configuration or parse error (a bad argv
+included), 2 numeric/domain error (an overflow included), 3 I/O error.
+Errors are written to stderr as a one-line JSON object so scripted callers
+can branch on them; only ``--help`` and ``--version`` print argparse's text.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from . import __version__
 from .config import (
@@ -58,9 +59,8 @@ def _parse_value(key: str, raw: str, line: int | None = None) -> float | int:
             return int(number)
         except ValueError:
             raise ConfigParseError(f"{key} must be an integer, got {number!r}", line) from None
-    units = LENGTH_UNITS if key in LENGTH_FIELDS else ANGLE_UNITS
+    kind, units = ("length", LENGTH_UNITS) if key in LENGTH_FIELDS else ("angle", ANGLE_UNITS)
     if unit not in units:
-        kind = "length" if key in LENGTH_FIELDS else "angle"
         problem = "missing" if not unit else f"unknown {kind}"
         raise ConfigParseError(
             f"{problem} unit {unit!r} for {key} "
@@ -151,14 +151,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _config_echo(config: ExperimentConfig) -> dict:
-    geo = derive_geometry(config)
-    echo = config.as_dict()
-    echo["fringe_spacing"] = geo.fringe_spacing
-    echo["fringe_consistency"] = geo.fringe_consistency
-    return echo
-
-
 def emit_rows(header: list[str], rows: list[list], out: io.TextIOBase) -> None:
     """CSV: the header, then one line per row."""
     import csv  # only CSV output pays for it
@@ -193,13 +185,18 @@ def _table_report(key: str, header: list[str], table: list) -> Report:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _check_count(flag: str, n: int, least: int) -> None:
+    """A grid-size option's bounds, checked before any grid is built."""
+    if n < least:
+        raise DomainError(f"{flag} must be at least {least}, got {n}")
+    if n > 10**6:
+        raise DomainError(f"{flag} must be at most 1000000, got {n}")
+
+
 def _cmd_pattern(config: ExperimentConfig, theta_range=10.0, samples=4001) -> Report:
     from .diffraction import symmetric_grid_list, two_beam_grid_intensity
 
-    if samples < 3:
-        raise DomainError(f"--samples must be at least 3, got {samples}")
-    if samples > 10**6:
-        raise DomainError(f"--samples must be at most 1000000, got {samples}")
+    _check_count("--samples", samples, 3)
     if not (theta_range > 0 and math.isfinite(theta_range)):
         raise DomainError(f"--theta-range must be positive and finite (mrad), got {theta_range:g}")
     theta_rad = symmetric_grid_list(theta_range * 1e-3, samples)
@@ -270,10 +267,7 @@ def _linspace(a: float, b: float, n: int) -> list[float]:
 def _cmd_sweep(config: ExperimentConfig, b_min=1.0, b_max=150.0, steps=150) -> Report:
     from .complementarity import SweepRow, sweep_thickness
 
-    if steps < 1:
-        raise DomainError(f"--steps must be at least 1, got {steps}")
-    if steps > 10**6:
-        raise DomainError(f"--steps must be at most 1000000, got {steps}")
+    _check_count("--steps", steps, 1)
     for b in (b_min, b_max):  # before the grid spreads a nan or inf over every row
         if not math.isfinite(b):
             raise positive_finite_error("wire_thickness", b)
@@ -335,14 +329,21 @@ def _cmd_validate(config: ExperimentConfig) -> Report:
     )
 
 
+# name: (function, help line, own options as (flag, type, metavar, help));
+# each option's default is the function's keyword default
 _COMMANDS = {
-    "pattern": _cmd_pattern,
-    "budget": _cmd_budget,
-    "metrics": _cmd_metrics,
-    "sweep": _cmd_sweep,
-    "simulate": _cmd_simulate,
-    "scenario": _cmd_scenario,
-    "validate": _cmd_validate,
+    "pattern": (_cmd_pattern, "two-beam diffraction pattern rows", [
+        ("--theta-range", float, "MRAD", "half-range of the angular grid in mrad"),
+        ("--samples", int, None, "number of angular samples"),
+    ]),
+    "budget": (_cmd_budget, "photon-fate budgets and counts", []),
+    "metrics": (_cmd_metrics, "visibility and which-way report", []),
+    "sweep": (_cmd_sweep, "wire-thickness sweep table", [
+        ("--b-min", float, "UM", None), ("--b-max", float, "UM", None), ("--steps", int, None, None),
+    ]),
+    "simulate": (_cmd_simulate, "seeded Monte Carlo run", [("--seed", int, None, None)]),
+    "scenario": (_cmd_scenario, "scenario truth table", []),
+    "validate": (_cmd_validate, "config check and cross-validation suite", []),
 }
 
 
@@ -357,8 +358,8 @@ def run(request: RunRequest) -> int:
     if request.output_format not in ("csv", "json"):
         raise ConfigParseError(f"unknown output format {request.output_format!r}")
     config = load_config(request)
-    report = _COMMANDS[request.subcommand](config, **request.options)
-    sections = {"config": _config_echo(config), **report.sections}
+    report = _COMMANDS[request.subcommand][0](config, **request.options)
+    sections = {"config": {**config.as_dict(), **asdict(derive_geometry(config))}, **report.sections}
     buffer = io.StringIO()
     if request.output_format == "csv" and report.table is not None:
         emit_rows(*report.table, buffer)
@@ -372,8 +373,16 @@ def run(request: RunRequest) -> int:
     return report.exit_code
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a ``ConfigParseError`` for a bad argv, so ``main`` reports it as
+    it reports every error; ``--help`` and ``--version`` still exit 0."""
+
+    def error(self, message):
+        raise ConfigParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wiregrid",
         description=(
             "Crossed-beam wire-grid interferometry: diffraction patterns, "
@@ -381,52 +390,29 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="experiment config file")
-    common.add_argument(
-        "--format", choices=("csv", "json"), default="json", help="output format"
-    )
-    common.add_argument(
-        "--out", metavar="PATH", default="-", help="output file, '-' for stdout"
-    )
-    common.add_argument(
-        "--override",
-        metavar="KEY=VALUE",
-        action="append",
-        default=[],
-        help="parameter override applied after the config file (repeatable)",
-    )
+    # no defaults here: an option the user leaves out takes RunRequest's, or its function's
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--config", dest="config_path", metavar="PATH", help="experiment config file")
+    common.add_argument("--format", dest="output_format", choices=("csv", "json"), help="output format")
+    common.add_argument("--out", dest="output_path", metavar="PATH", help="output file, '-' for stdout")
+    common.add_argument("--override", dest="overrides", metavar="KEY=VALUE", action="append",
+                        help="parameter override applied after the config file (repeatable)")
 
+    # subparsers are built by argparse as ``parser_class=type(parser)``: _Parser too
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    p = sub.add_parser("pattern", parents=[common], help="two-beam diffraction pattern rows")
-    p.add_argument("--theta-range", type=float, default=argparse.SUPPRESS, metavar="MRAD",
-                   help="half-range of the angular grid in mrad")
-    p.add_argument("--samples", type=int, default=argparse.SUPPRESS,
-                   help="number of angular samples")
-    sub.add_parser("budget", parents=[common], help="photon-fate budgets and counts")
-    sub.add_parser("metrics", parents=[common], help="visibility and which-way report")
-    p = sub.add_parser("sweep", parents=[common], help="wire-thickness sweep table")
-    p.add_argument("--b-min", type=float, default=argparse.SUPPRESS, metavar="UM")
-    p.add_argument("--b-max", type=float, default=argparse.SUPPRESS, metavar="UM")
-    p.add_argument("--steps", type=int, default=argparse.SUPPRESS)
-    p = sub.add_parser("simulate", parents=[common], help="seeded Monte Carlo run")
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    sub.add_parser("scenario", parents=[common], help="scenario truth table")
-    sub.add_parser("validate", parents=[common], help="config check and cross-validation suite")
+    for name, (_, help_line, options) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_line)
+        for flag, kind, metavar, help_text in options:
+            p.add_argument(flag, type=kind, metavar=metavar, help=help_text, default=argparse.SUPPRESS)
     return parser
 
 
 def _request_from_args(args: argparse.Namespace) -> RunRequest:
-    """The common options; whatever else the user gave goes to the subcommand."""
+    """argparse writes RunRequest's fields by name; whatever else the user gave
+    goes to the subcommand."""
     options = dict(vars(args))
-    return RunRequest(
-        subcommand=options.pop("subcommand"),
-        config_path=options.pop("config"),
-        output_format=options.pop("format"),
-        output_path=options.pop("out"),
-        overrides=options.pop("override"),
-        options=options,
-    )
+    common = {f.name: options.pop(f.name) for f in fields(RunRequest) if f.name in options}
+    return RunRequest(**common, options=options)
 
 
 def _emit_error(exc: Exception, code: int) -> int:
@@ -436,10 +422,8 @@ def _emit_error(exc: Exception, code: int) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    request = _request_from_args(args)
     try:
-        return run(request)
+        return run(_request_from_args(build_parser().parse_args(argv)))
     except ConfigError as exc:
         return _emit_error(exc, 1)
     except (WiregridError, ValueError, ArithmeticError) as exc:

@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -12,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wiregrid
 from wiregrid import (
@@ -24,7 +28,10 @@ from wiregrid import (
     sweep_thickness,
     two_beam_budget,
 )
-from wiregrid.cli import RunRequest, _linspace, apply_overrides, main, parse_config, run
+from wiregrid.cli import (
+    _COMMANDS, RunRequest, _linspace, _request_from_args, apply_overrides, build_parser, main,
+    parse_config, run,
+)
 from wiregrid.errors import ConfigError, ConfigParseError
 
 
@@ -365,6 +372,37 @@ def test_parse_error_is_exit_1(tmp_path, capsys):
     assert err["error"]["type"] == "ConfigParseError"
 
 
+BAD_ARGV = {
+    "steps-not-an-int": (["sweep", "--steps", "abc"], "argument --steps: invalid int value: 'abc'"),
+    "samples-not-an-int": (["pattern", "--samples", "1e3"], "argument --samples: invalid int value: '1e3'"),
+    "unknown-format": (["budget", "--format", "xml"],
+                       "argument --format: invalid choice: 'xml' (choose from 'csv', 'json')"),
+    "unknown-flag": (["budget", "--bogus"], "unrecognized arguments: --bogus"),
+    "unknown-subcommand": (["nosuch"], "argument subcommand: invalid choice: 'nosuch' (choose from "
+                           "'pattern', 'budget', 'metrics', 'sweep', 'simulate', 'scenario', 'validate')"),
+    "no-subcommand": ([], "the following arguments are required: subcommand"),
+}
+
+
+@pytest.mark.parametrize("argv, message", BAD_ARGV.values(), ids=BAD_ARGV)
+def test_argparse_errors_are_exit_1_with_one_json_line(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line)["error"] == {"type": "ConfigParseError", "message": message, "exit_code": 1}
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"], ["--version"]])
+def test_help_and_version_print_to_stdout_and_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: wiregrid" if "--help" in argv else "wiregrid ")
+    assert captured.err == ""
+
+
 def test_non_utf8_config_is_a_parse_error(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_bytes(b"wire_count = 6\n\xff\xfe = 3\n")
@@ -561,6 +599,28 @@ def test_validate_rejects_invalid_config_before_any_check(capsys, fmt):
     assert err["error"]["exit_code"] == 1
 
 
+def test_validate_fails_an_oracle_row_without_a_stray_warning(capsys):
+    # at this wavelength no angle of the oracle's grid reaches an order, so the
+    # closed form is 0 everywhere: its normalised RMS is reported as inf
+    assert main(["validate", "--override", "wavelength=1e300nm", "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "fourier_oracle_vs_closed_form,FAIL,normalized RMS inf" in captured.out.splitlines()
+
+
+def test_validate_refuses_a_grid_above_the_cap(capsys):
+    # 64,000,781 nodes: one kernel block over them would ask numpy for 122 GiB
+    assert main(["validate", "--override", "beam_side=319m"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line)["error"] == {
+        "type": "SamplingError",
+        "message": "aperture grid needs 64000781 nodes, above the cap of 131072",
+        "exit_code": 2,
+    }
+
+
 @pytest.mark.parametrize(
     "failing", [(("sweep", "--b-max", "400"), 1), (("pattern", "--theta-range", "2000"), 2)]
 )
@@ -607,6 +667,53 @@ def test_io_error_is_exit_3(capsys):
     assert rc == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] in ("FileNotFoundError", "OSError", "PermissionError")
+
+
+# ---------------------------------------------------------------------------
+# the subcommand table and the argv contract
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", _COMMANDS)
+def test_each_subcommands_flags_are_its_functions_keyword_parameters(name):
+    # a flag with no parameter would escape main as a TypeError traceback
+    function, _, options = _COMMANDS[name]
+    argv = [name, *(token for flag, *_ in options for token in (flag, "1"))]
+    request = _request_from_args(build_parser().parse_args(argv))
+    assert list(request.options) == list(inspect.signature(function).parameters)[1:]
+
+
+# edge values for any config field, and units valid for some field or for none
+_EDGE_VALUES = ["0", "-1", "nan", "inf", "1e-320", "1e300"]
+_EDGE_UNITS = ["", "nm", "um", "mm", "m", "rad", "mrad", "parsecs"]
+
+
+@st.composite
+def _argv(draw):
+    name = draw(st.sampled_from(list(_COMMANDS)))
+    argv = [name, "--format", draw(st.sampled_from(["csv", "json"]))]
+    for flag, *_ in _COMMANDS[name][2]:
+        if draw(st.booleans()):
+            argv += [flag, str(draw(st.integers(0, 20)))]
+    keys = draw(st.lists(st.sampled_from(list(DEFAULTS)), max_size=3))
+    for key in keys:
+        value = draw(st.sampled_from(_EDGE_VALUES)) + draw(st.sampled_from(_EDGE_UNITS))
+        argv += ["--override", f"{key}={value}"]
+    return [*argv, "--override", "photon_count=1000"]  # keeps simulate cheap
+
+
+@settings(max_examples=200, deadline=2000)
+@given(_argv())
+def test_every_argv_keeps_the_error_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in {0, 1, 2, 3}
+    if err.getvalue():
+        assert out.getvalue() == ""
+        (line,) = err.getvalue().splitlines()
+        assert json.loads(line)["error"]["exit_code"] == rc
+    else:  # only validate prints its rows and exits 2, when a check fails
+        assert rc == 0 or (argv[0], rc) == ("validate", 2)
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,25 @@ def test_aperture_grid_marks_the_wire_strips(
     assert np.trapezoid(share, x) == pytest.approx(wire_count * b, rel=1e-12, abs=0)
 
 
+def test_aperture_grid_above_the_cap_is_refused_before_any_node(reference_config, monkeypatch):
+    # a gap spacing of beam_side / cap puts the grid just above the cap
+    cap = wiregrid.oracle._MAX_APERTURE_NODES
+    dx_gap = reference_config.beam_side / cap
+    assert len(_aperture_grid(reference_config, dx_gap * 1.001)[0]) <= cap
+    monkeypatch.setattr(wiregrid.oracle, "_MAX_APERTURE_NODES", 2 * cap)
+    nodes = len(_aperture_grid(reference_config, dx_gap)[0])
+    assert cap < nodes < cap + 100
+    monkeypatch.setattr(wiregrid.oracle, "_MAX_APERTURE_NODES", cap)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid piece was built")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    with pytest.raises(SamplingError) as exc:
+        _aperture_grid(reference_config, dx_gap)
+    assert str(exc.value) == f"aperture grid needs {nodes} nodes, above the cap of {cap}"
+
+
 # ---------------------------------------------------------------------------
 # Fourier oracle
 # ---------------------------------------------------------------------------

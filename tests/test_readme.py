@@ -72,3 +72,11 @@ def test_readme_quotes_the_monte_carlo_chunking():
     assert int(no_thread.replace(",", "")) == (
         (2 * montecarlo._MIN_SPAN_CHUNKS - 1) * montecarlo._CHUNK
     )
+
+
+def test_readme_quotes_the_oracle_grid_cap():
+    from wiregrid import oracle
+
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    power, spelled = re.search(r"more than 2\*\*(\d+) \(([\d,]+)\) nodes", text).groups()
+    assert 2 ** int(power) == int(spelled.replace(",", "")) == oracle._MAX_APERTURE_NODES
