@@ -246,7 +246,14 @@ def _cmd_metrics(config: ExperimentConfig) -> Report:
     x = absorbed_fraction_two_beams(config)
     y = coverage_fraction(config)
     report = fraction_report(x, y)
-    area_mm2 = (config.beam_side * 1e3) ** 2
+    try:
+        area_mm2 = (config.beam_side * 1e3) ** 2  # inf, not an error, once the side is inf
+    except OverflowError:
+        area_mm2 = math.inf
+    if area_mm2 == math.inf:
+        raise DomainError(
+            f"beam_side ({config.beam_side:g} m) is too large: its area in mm^2 overflows a float"
+        )
     i_min, i_max = worst_case_intensity_pair(x, y, config.photon_count, area_mm2)
     return Report({
         "fractions": {"absorbed": x, "covered": y},

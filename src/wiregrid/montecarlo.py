@@ -5,16 +5,20 @@ seed and indexed by the photon number (Philox 2x32 with 10 rounds, the
 standard Random123 construction), so tallies are bit-identical no matter
 how the photon range is chunked or parallelized.  One routine,
 ``_philox_words``, keeps each photon's state in one uint64 and fills a
-caller-given pair of arrays with the photons' 64-bit words for both
-``photon_uniforms`` and ``sample_fates`` in 47 numpy calls.
-``sample_fates`` splits the range into contiguous spans of fixed
-2**16-photon chunks, at most one span per usable core and at least four
-chunks per span, and tallies the spans on threads.  Each span reuses one
-workspace for every chunk and tallies each photon by comparing its word
-with integer thresholds, which is exactly equivalent to comparing its
-53-bit uniform with the cumulative fate probabilities.  Tallies add up over
-any partition of the photon range, so the counts depend neither on the
-chunking nor on the core count.
+caller-given pair of arrays with the photons' 64-bit words in 47 numpy
+calls.  One chunk loop, ``_word_chunks``, runs it over fixed chunks of
+2**16 photons in one reused two-array workspace, for both ``photon_uniforms``
+(which fills its output chunk by chunk) and ``sample_fates``; both start
+round 1 from one read-only step array built once per call, so beside the
+output a call holds that 512 KiB array and 1 MiB per span, whatever the
+photon count.
+``sample_fates`` splits the range into contiguous spans of whole chunks, at
+most one span per usable core and at least four chunks per span, and
+tallies the spans on threads.  Each span tallies each photon by comparing
+its word with integer thresholds, which is exactly equivalent to comparing
+its 53-bit uniform with the cumulative fate probabilities.  Tallies add up
+over any partition of the photon range, so the counts depend neither on
+the chunking nor on the core count.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ _PHILOX_M = np.uint64(0xD256D193)
 _PHILOX_W = 0x9E3779B9
 _SHIFT32 = np.uint64(32)
 _SHIFT11 = np.uint64(11)
-# Photons per chunk: a span's working set, the step array and the two
-# state arrays, is 3 * 512 KiB = 1.5 MiB and fits a 2 MiB per-core L2.
+# Photons per chunk: a span's working set, the shared step array and its
+# two state arrays, is 3 * 512 KiB = 1.5 MiB and fits a 2 MiB per-core L2.
 _CHUNK = 1 << 16
 # A span on its own thread pays for the thread and for handing the
 # interpreter lock back and forth around each of the 47 numpy calls per
@@ -102,14 +106,47 @@ def _check_photon_range(seed: int, start: int, count: int) -> tuple[int, int, in
     return seed, start, count
 
 
+def _ramp(count: int) -> np.ndarray:
+    """The read-only step array i * M for i < min(_CHUNK, count), which
+    every chunk of a call shares: round 1 starts from it."""
+    ramp = np.arange(min(_CHUNK, count), dtype=np.uint64) * _PHILOX_M
+    ramp.flags.writeable = False
+    return ramp
+
+
+def _word_chunks(seed: int, begin: int, end: int, ramp: np.ndarray):
+    """Yield (offset, words) for photons [begin, end) under seed, one chunk of
+    at most ``_CHUNK`` photons at a time, from photon begin + offset.
+
+    Every chunk's words are a view of one two-array workspace allocated here,
+    which the next chunk overwrites; ramp is ``_ramp`` of at least a chunk.
+    """
+    word, spare = np.empty((2, min(_CHUNK, end - begin)), dtype=np.uint64)
+    for start in range(begin, end, _CHUNK):
+        count = min(_CHUNK, end - start)
+        _philox_words(ramp[:count], start, seed, word[:count], spare[:count])
+        yield start - begin, word[:count]
+
+
+def _photon_array(seed: int, start: int, count: int, dtype, store) -> np.ndarray:
+    """A dtype array for photons [start, start + count) under seed, which
+    ``store(out, words)`` fills chunk by chunk from their Philox words."""
+    seed, start, count = _check_photon_range(seed, start, count)
+    out = np.empty(count, dtype=dtype)
+    for offset, word in _word_chunks(seed, start, start + count, _ramp(count)):
+        store(out[offset : offset + len(word)], word)
+    return out
+
+
 def _photon_words(seed: int, start: int, count: int) -> np.ndarray:
     """The 64-bit Philox words of photons [start, start + count) under seed."""
-    seed, start, count = _check_photon_range(seed, start, count)
-    word, spare = np.empty((2, count), dtype=np.uint64)
-    scaled = np.arange(count, dtype=np.uint64) * _PHILOX_M
-    # only an empty range may start at 2**64, one past the last counter
-    _philox_words(scaled, start % 2**64, seed, word, spare)
-    return word
+    return _photon_array(seed, start, count, np.uint64, np.copyto)
+
+
+def _store_uniforms(out: np.ndarray, word: np.ndarray) -> None:
+    """out = (word >> 11) * 2**-53, exact in float64; word is overwritten."""
+    word >>= _SHIFT11
+    np.multiply(word, 2.0**-53, out=out)
 
 
 def photon_uniforms(seed: int, start: int, count: int) -> np.ndarray:
@@ -119,8 +156,10 @@ def photon_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     counter, the seed is the key, and the two output words form the 53-bit
     mantissa.  Seeds must lie in [0, 2**32) so distinct seeds never alias,
     and the photon range must lie in [0, 2**64) so the counter never wraps.
+    The output is filled chunk by chunk (``_word_chunks``), so the call
+    holds at most 1.5 MiB beside it.
     """
-    return (_photon_words(seed, start, count) >> _SHIFT11).astype(np.float64) * 2.0**-53
+    return _photon_array(seed, start, count, np.float64, _store_uniforms)
 
 
 def _word_threshold(edge: float) -> np.uint64 | None:
@@ -176,31 +215,24 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _tally_span(seed: int, thresholds: list, begin: int, end: int) -> list[int]:
+def _tally_span(seed: int, thresholds: list, begin: int, end: int, ramp: np.ndarray) -> list[int]:
     """For each threshold, how many photons in [begin, end) have a word below it.
 
-    One workspace of ``_CHUNK`` (or fewer) photons is allocated here and
-    reused for every chunk of the span; a threshold of None counts every
-    photon.  The other thresholds must ascend: each is counted on the words
-    at or above the one before it, so only the first reads the whole chunk.
-    The words are those of ``_photon_words(seed, begin, end - begin)``.
+    The words come chunk by chunk from ``_word_chunks`` over the call's
+    shared ``ramp``, through one workspace of ``_CHUNK`` (or fewer) photons
+    allocated for the span; a threshold of None counts every photon.  The
+    other thresholds must ascend: each is counted on the words at or above
+    the one before it, so only the first reads the whole chunk.
     """
-    size = min(_CHUNK, end - begin)
-    scaled = np.arange(size, dtype=np.uint64) * _PHILOX_M
-    word, spare = np.empty((2, size), dtype=np.uint64)
     below = [0] * len(thresholds)
-    for start in range(begin, end, _CHUNK):
-        count = min(_CHUNK, end - start)
-        if count < size:  # only the last chunk is short
-            scaled, word, spare = scaled[:count], word[:count], spare[:count]
-        _philox_words(scaled, start, seed, word, spare)
+    for _, word in _word_chunks(seed, begin, end, ramp):
         tail = word
         for k, t in enumerate(thresholds):
             if t is None:
-                below[k] += count
+                below[k] += len(word)
             else:
                 tail = tail[tail >= t]
-                below[k] += count - len(tail)
+                below[k] += len(word) - len(tail)
     return below
 
 
@@ -216,10 +248,11 @@ def sample_fates(budget: PhotonBudget, n: int, seed: int) -> FateCounts:
     each chunk counts the Philox words below ``ceil(e * 2**53) * 2**11`` for
     each cumulative probability e < 1, which is exactly the test u_i < e.
     The fixed chunk of ``_CHUNK`` (2**16) photons keeps the working arrays
-    in cache.  The chunks are split into contiguous spans, at most one per
-    usable core and at least ``_MIN_SPAN_CHUNKS`` chunks each (so a short
-    range is one span); the first span runs on the calling thread and each
-    other span on its own thread, and the spans' counts are summed.
+    in cache, and one read-only step array (``_ramp``) serves every span.
+    The chunks are split into contiguous spans, at most one per usable core
+    and at least ``_MIN_SPAN_CHUNKS`` chunks each (so a short range is one
+    span); the first span runs on the calling thread and each other span on
+    its own thread, and the spans' counts are summed.
     """
     seed, _, n = _check_photon_range(seed, 0, n)
     if n < 1:
@@ -230,10 +263,11 @@ def sample_fates(budget: PhotonBudget, n: int, seed: int) -> FateCounts:
     spans = max(1, min(_usable_cores(), chunks // _MIN_SPAN_CHUNKS))
     bounds = [min(n, j * chunks // spans * _CHUNK) for j in range(spans + 1)]
     tallies: list = [None] * spans
+    ramp = _ramp(n)
 
     def tally(j: int) -> None:
         try:
-            tallies[j] = _tally_span(seed, thresholds, bounds[j], bounds[j + 1])
+            tallies[j] = _tally_span(seed, thresholds, bounds[j], bounds[j + 1], ramp)
         except BaseException as exc:  # re-raised on the calling thread
             tallies[j] = exc
 

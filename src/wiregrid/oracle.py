@@ -96,8 +96,9 @@ def symmetric_grid(half_range: float, n: int) -> np.ndarray:
 # sampled field profiles
 # ---------------------------------------------------------------------------
 
-# One 256-row float64 kernel block over this many nodes is 256 MiB; the
-# reference grid has 1,293 nodes and the finest grid a test builds 114,693.
+# A kernel block has at least 8 rows, so over this many nodes one float64
+# block is 8 MiB and a transform peaks near 20 MiB; the reference grid has
+# 1,293 nodes and the finest grid a test builds 114,693.
 _MAX_APERTURE_NODES = 2**17
 
 
@@ -161,7 +162,11 @@ def wire_strip_complement_profile(
 # Fourier-integral oracle
 # ---------------------------------------------------------------------------
 
-_KERNEL_ROWS = 256
+# Phases per kernel block, in bytes: the block holds as many 8-row groups of
+# float64 phases as fit, and at least one.  Rows come in whole groups of 8, so
+# a row's place in its group, and its bits from the matrix-vector product, do
+# not depend on the block size.
+_KERNEL_BYTES = 1 << 20
 
 
 def _transform(x: np.ndarray, amp: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -173,8 +178,10 @@ def _transform(x: np.ndarray, amp: np.ndarray, q: np.ndarray) -> np.ndarray:
     F(-q) = conj F(q): the kernel is built once per distinct |q| and each
     q < 0 takes the conjugate, which halves the work on a grid that negates
     bit-exactly (``symmetric_grid``).  The complex exponential is split into
-    real cosine and sine products; chunks of ``_KERNEL_ROWS`` rows bound the
-    kernel's memory.
+    real cosine and sine products over blocks of rows: about ``_KERNEL_BYTES``
+    (1 MiB) of phases each, a multiple of 8 rows and at least 8.  The working
+    set is two blocks, the phases and their cosine or sine, beside a few
+    node-length arrays, whatever the number of angles.
     """
     dx = np.diff(x)
     weights = np.concatenate(([dx[0]], dx[:-1] + dx[1:], [dx[-1]])) / 2.0
@@ -183,9 +190,10 @@ def _transform(x: np.ndarray, amp: np.ndarray, q: np.ndarray) -> np.ndarray:
     xs, wa = x[support], wa[support]
     magnitude, mirror = np.unique(np.abs(q), return_inverse=True)
     rows = np.empty(magnitude.shape, dtype=complex)
-    for i in range(0, len(magnitude), _KERNEL_ROWS):
-        phase = np.outer(magnitude[i : i + _KERNEL_ROWS], xs)
-        rows[i : i + _KERNEL_ROWS] = np.cos(phase) @ wa - 1j * (np.sin(phase) @ wa)
+    block = 8 * max(1, _KERNEL_BYTES // (64 * max(1, xs.size)))
+    for i in range(0, len(magnitude), block):
+        phase = np.outer(magnitude[i : i + block], xs)
+        rows[i : i + block] = np.cos(phase) @ wa - 1j * (np.sin(phase) @ wa)
     out = rows[mirror]
     return np.where(q < 0, out.conj(), out)
 

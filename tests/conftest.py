@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -30,6 +31,28 @@ def reference_budget(reference_config):
 @pytest.fixture(scope="session")
 def reference_single_budget(reference_config):
     return single_beam_budget(reference_config)
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    """``measure(fn, *args)``: the most memory, in bytes, that ``fn(*args)`` held
+    at once beyond what was held before the call, numpy's buffers included
+    (numpy reports them to tracemalloc), its result among them."""
+
+    def measure(fn, *args):
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    return measure
 
 
 @pytest.fixture(scope="session")

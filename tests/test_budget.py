@@ -26,6 +26,7 @@ from wiregrid.budget import (
     _GL_NODES,
     _GL_WEIGHTS,
     PhotonBudget,
+    SingleBeamBudget,
     _strip_total,
     _two_beam_total,
     _window_integrals,
@@ -246,6 +247,14 @@ def test_budget_validation_rejects_bad_fractions():
             detected=0.9,
             undisturbed_detected=0.8,
         )
+    for field, value in (("absorbed", -0.1), ("covered", 1.5), ("detected", math.nan)):
+        fractions = dict(
+            absorbed=0.1, covered=0.2, diffracted_to_detectors=0.0,
+            diffracted_away=0.1, detected=0.8, undisturbed_detected=0.8,
+        )
+        fractions[field] = value
+        with pytest.raises(ValueError, match=rf"{field} must be a fraction in \[0, 1\], got {value!r}"):
+            PhotonBudget(**fractions)
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +275,22 @@ def test_single_beam_wrong_detector(reference_single_budget):
 
 def test_single_beam_decrease_includes_blocking(reference_single_budget):
     assert reference_single_budget.own_detector_decrease >= reference_single_budget.blocked
+
+
+@pytest.mark.parametrize(
+    "fractions,message",
+    [
+        ((-0.1, 0.2, 0.0), r"blocked must be a fraction in \[0, 1\], got -0.1"),
+        ((0.1, 1.2, 0.0), r"own_detector_decrease must be a fraction in \[0, 1\], got 1.2"),
+        ((0.1, 0.2, math.nan), r"wrong_detector must be a fraction in \[0, 1\], got nan"),
+        ((0.1, 0.05, 0.0), "own_detector_decrease must include at least the blocked share"),
+    ],
+    ids=["blocked", "own", "wrong", "decrease-below-blocked"],
+)
+def test_single_beam_budget_rejects_bad_fractions(fractions, message):
+    blocked, own, wrong = fractions
+    with pytest.raises(ValueError, match=message):
+        SingleBeamBudget(blocked=blocked, own_detector_decrease=own, wrong_detector=wrong)
 
 
 def test_single_beam_budget_at_quarter_milliradian_window(reference_config):

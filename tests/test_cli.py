@@ -449,13 +449,27 @@ def test_grid_size_is_capped_before_any_grid(capsys, monkeypatch, argv, grid_bui
 
 
 def test_overflow_is_exit_2_with_one_json_line(capsys):
-    # (beam_side in mm) ** 2 overflows a float in metrics' per-mm^2 intensities
-    assert main(["metrics", "--override", "beam_side=1e300um"]) == 2
+    # (beam_side in mm) ** 2 overflows a float in metrics' per-mm^2 intensities;
+    # at 1e306 m the side in mm is already inf, and so would be the area
+    for typed, shown in (("1e300um", "1e+294"), ("1e306m", "1e+306")):
+        assert main(["metrics", "--override", f"beam_side={typed}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert json.loads(line)["error"] == {
+            "type": "DomainError",
+            "message": f"beam_side ({shown} m) is too large: its area in mm^2 overflows a float",
+            "exit_code": 2,
+        }
+
+
+def test_metrics_squares_the_largest_finite_area(capsys):
+    # (1e150 mm) ** 2 is still a float, so metrics reports its intensities
+    assert main(["metrics", "--override", "beam_side=1e147m"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    (line,) = captured.err.splitlines()
-    error = json.loads(line)["error"]
-    assert (error["type"], error["exit_code"]) == ("OverflowError", 2)
+    assert captured.err == ""
+    i_max = json.loads(captured.out)["worst_case_intensities_per_mm2"]["i_max"]
+    assert i_max == pytest.approx(10**6 / 1e300, rel=1e-12)
 
 
 def test_negative_seed_is_exit_2(tmp_path, capsys):

@@ -233,6 +233,17 @@ def test_aperture_grid_marks_the_wire_strips(
     assert np.trapezoid(share, x) == pytest.approx(wire_count * b, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("wire_count", [2, 6])
+def test_aperture_grid_refuses_overlapping_segments(reference_config, wire_count):
+    # b = 0.95 d leaves 0.05 d between strips and, with M d = W, 0.025 d
+    # beside the outer ones: less than the 4 strip nodes each side needs
+    cfg = reference_config.replace(
+        wire_count=wire_count, beam_side=wire_count * D, wire_thickness=0.95 * D
+    )
+    with pytest.raises(SamplingError, match="aperture segments overlap; wires too close to the beam edge"):
+        _aperture_grid(cfg, D / 64)
+
+
 def test_aperture_grid_above_the_cap_is_refused_before_any_node(reference_config, monkeypatch):
     # a gap spacing of beam_side / cap puts the grid just above the cap
     cap = wiregrid.oracle._MAX_APERTURE_NODES
@@ -280,7 +291,8 @@ class _OuterRecorder:
 )
 def test_transform_matches_dense_trapezoid(reference_config, monkeypatch, profile):
     # non-even profiles exercise the sine term, the masked ones the dropped
-    # zero nodes; the distinct |q| of 301 angles span two chunks
+    # zero nodes; a block budget of 128 rows over the support puts the
+    # distinct |q| of 301 angles in two blocks
     x, _, field = _fringe_samples(reference_config, 0.02)
     d = reference_config.wire_pitch
     complement = wire_strip_complement_profile(reference_config).amplitude_samples
@@ -293,7 +305,7 @@ def test_transform_matches_dense_trapezoid(reference_config, monkeypatch, profil
     }[profile]
     q = 2 * math.pi / LAM * np.sin(np.linspace(-2.5e-3, 2.5e-3, 301))
     recorder = _OuterRecorder()
-    monkeypatch.setattr(wiregrid.oracle, "_KERNEL_ROWS", 128)
+    monkeypatch.setattr(wiregrid.oracle, "_KERNEL_BYTES", 128 * 8 * max(1, np.count_nonzero(amp)))
     monkeypatch.setattr(wiregrid.oracle, "np", recorder)
     got = _transform(x, amp, q)
     monkeypatch.undo()
@@ -304,7 +316,21 @@ def test_transform_matches_dense_trapezoid(reference_config, monkeypatch, profil
     assert all(nodes == np.count_nonzero(amp) for _, nodes in recorder.shapes)
     rows = np.unique(np.abs(q)).size
     assert len(recorder.shapes) == 2
+    assert recorder.shapes[0][0] == 128
     assert sum(angles for angles, _ in recorder.shapes) == rows
+
+
+def test_transform_memory_does_not_grow_with_the_grid(traced_peak, monkeypatch):
+    # 50,001 nodes leave room for no more than the least block, 8 rows: about
+    # 3.2 MB of phases, where one block of all 64 angles would be 25.6 MB
+    x = np.linspace(-W / 2, W / 2, 50_001)
+    amp = np.cos(np.pi * x / D)
+    q = 2 * math.pi / LAM * np.sin(np.linspace(0.0, 2.5e-3, 64))
+    assert traced_peak(_transform, x, amp, q) < 16 * 2**20
+    recorder = _OuterRecorder()
+    monkeypatch.setattr(wiregrid.oracle, "np", recorder)
+    _transform(x, amp, q)
+    assert recorder.shapes == [(8, x.size)] * 8
 
 
 @pytest.mark.parametrize("case", ["asymmetric", "zero_and_repeats", "symmetric_grid"])
@@ -337,6 +363,12 @@ def test_mirrored_transform_matches_dense_trapezoid(reference_config, monkeypatc
 def test_symmetric_grid_rejects_degenerate_range(half_range):
     with pytest.raises(ValueError, match="half_range must be positive and finite"):
         symmetric_grid(half_range, 11)
+
+
+@pytest.mark.parametrize("n", [1, 0])
+def test_symmetric_grid_needs_two_samples(n):
+    with pytest.raises(ValueError, match="need at least 2 samples"):
+        symmetric_grid_list(1e-3, n)
 
 
 def test_crosscheck_kernel_cost(reference_config, monkeypatch):
@@ -400,6 +432,16 @@ def test_coarse_profile_rejected():
         far_field_amplitude(profile, np.linspace(-0.02, 0.02, 101))
 
 
+@pytest.mark.parametrize(
+    "theta", [np.linspace(1e-3, -1e-3, 11), np.array([0.0, 1e-4, 1e-4]), np.zeros((2, 3))],
+    ids=["decreasing", "repeat", "2-d"],
+)
+def test_far_field_rejects_a_grid_that_does_not_increase(theta):
+    profile = FieldProfile(np.linspace(-W / 2, W / 2, 101), np.ones(101), LAM)
+    with pytest.raises(ValueError, match="theta_grid must be 1-D and strictly increasing"):
+        far_field_amplitude(profile, theta)
+
+
 # ---------------------------------------------------------------------------
 # band power
 # ---------------------------------------------------------------------------
@@ -423,6 +465,15 @@ def test_band_power_outside_range_raises(reference_pattern):
     hi = reference_pattern.theta_samples[-1]
     with pytest.raises(BandRangeError, match="exceeds the sampled range"):
         band_power(reference_pattern, 0.0, hi * 1.5)
+    for lo, hi in ((1e-3, 1e-3), (1e-3, -1e-3)):
+        with pytest.raises(BandRangeError, match="theta_lo must be strictly less than theta_hi"):
+            band_power(reference_pattern, lo, hi)
+
+
+def test_band_power_refuses_a_dark_pattern():
+    dark = DiffractionPattern(np.linspace(-1e-3, 1e-3, 11), np.zeros(11))
+    with pytest.raises(BandRangeError, match="pattern has no integrable power"):
+        band_power(dark, -5e-4, 5e-4)
 
 
 def test_band_power_warns_on_truncated_range(reference_config):
@@ -509,6 +560,11 @@ def test_field_profile_rejects_malformed_grids():
         FieldProfile(x[::-1], np.ones(8), LAM)
     with pytest.raises(ValueError, match="wavelength"):
         FieldProfile(x, np.ones(8), 0.0)
+    for one_point in (x[:1], np.zeros((2, 4))):
+        with pytest.raises(ValueError, match="x_samples must be a 1-D grid with at least 2 points"):
+            FieldProfile(one_point, np.ones(one_point.shape), LAM)
+    with pytest.raises(ValueError, match="amplitude_samples must match x_samples in length"):
+        FieldProfile(x, np.ones(7), LAM)
 
 
 def test_intensity_rejects_out_of_range_angle(reference_config):

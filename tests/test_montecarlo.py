@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import threading
@@ -15,7 +16,7 @@ from wiregrid import (
     visibility_lower_bound,
 )
 from wiregrid.budget import PhotonBudget
-from wiregrid.montecarlo import _photon_words, _tally_span, _word_threshold
+from wiregrid.montecarlo import _photon_words, _ramp, _tally_span, _word_threshold
 
 
 def make_budget(x=0.0012401415665121626, f_det=0.0016144048753482427):
@@ -90,6 +91,25 @@ def test_words_match_reference_across_counter_edges(start, count):
     seed = 3_764_114_740
     expected = [philox_reference(seed, start + i) for i in range(count)]
     assert _photon_words(seed, start, count).tolist() == expected
+
+
+@functools.cache
+def reference_uniforms(seed, begin, end):
+    """``philox_reference``'s words for photons [begin, end) as 53-bit uniforms."""
+    return [(philox_reference(seed, i) >> 11) * 2.0**-53 for i in range(begin, end)]
+
+
+@pytest.mark.parametrize("chunk_size", [977, 2**15, 2**16])
+def test_uniforms_match_reference_across_counter_edge(monkeypatch, chunk_size):
+    # chunk by chunk, the edge inside a chunk, then a short last chunk
+    monkeypatch.setattr(montecarlo, "_CHUNK", chunk_size)
+    seed, begin, end = 3_764_114_740, 2**32 - 40_000, 2**32 + 30_000
+    assert photon_uniforms(seed, begin, end - begin).tolist() == reference_uniforms(seed, begin, end)
+
+
+def test_uniforms_hold_little_beside_their_output(traced_peak):
+    count = 10**6
+    assert traced_peak(photon_uniforms, 9, 2**32 - 300_000, count) < 8 * count + 4 * 2**20
 
 
 def test_uniforms_carry_the_philox_words():
@@ -367,8 +387,8 @@ def test_spans_are_contiguous_chunk_runs_one_per_thread(monkeypatch, n, chunk_si
     monkeypatch.setattr(montecarlo, "_CHUNK", chunk_size)
     calls = []
 
-    def record(seed, thresholds, begin, end):
-        calls.append((begin, end, threading.current_thread()))
+    def record(seed, thresholds, begin, end, ramp):
+        calls.append((begin, end, threading.current_thread(), ramp))
         return [0] * len(thresholds)
 
     monkeypatch.setattr(montecarlo, "_tally_span", record)
@@ -378,10 +398,14 @@ def test_spans_are_contiguous_chunk_runs_one_per_thread(monkeypatch, n, chunk_si
     assert len(calls) == spans
     assert calls[0][0] == 0 and calls[-1][1] == n
     assert all(a[1] == b[0] for a, b in zip(calls, calls[1:]))
-    assert all(begin % chunk_size == 0 and begin < end for begin, end, _ in calls)
+    assert all(begin % chunk_size == 0 and begin < end for begin, end, *_ in calls)
     # span 0 runs on the calling thread, every other span on its own thread
     assert calls[0][2] is threading.current_thread()
-    assert len({id(thread) for _, _, thread in calls}) == spans
+    assert len({id(thread) for _, _, thread, _ in calls}) == spans
+    # every span reads the one read-only step array of the call
+    ramp = calls[0][3]
+    assert all(call[3] is ramp for call in calls) and not ramp.flags.writeable
+    assert ramp.tolist() == [i * 0xD256D193 for i in range(min(chunk_size, n))]
 
 
 class SpanFailure(Exception):
@@ -393,10 +417,10 @@ def test_error_in_a_worker_span_is_raised_by_the_caller(monkeypatch):
     monkeypatch.setattr(montecarlo, "_CHUNK", 977)
     tally = montecarlo._tally_span
 
-    def fail_after_zero(seed, thresholds, begin, end):
+    def fail_after_zero(seed, thresholds, begin, end, ramp):
         if begin > 0:
             raise SpanFailure(f"span at {begin}")
-        return tally(seed, thresholds, begin, end)
+        return tally(seed, thresholds, begin, end, ramp)
 
     monkeypatch.setattr(montecarlo, "_tally_span", fail_after_zero)
     with pytest.raises(SpanFailure, match="span at"):
@@ -419,7 +443,7 @@ def test_span_tally_matches_words_across_counter_edges(monkeypatch, begin, end, 
     thresholds = [None, np.uint64(0), np.uint64(2**63), np.uint64(2**64 - 2**11)]
     word = _photon_words(3_764_114_740, begin, end - begin)
     expected = [end - begin, 0, *(int(np.count_nonzero(word < t)) for t in thresholds[2:])]
-    assert _tally_span(3_764_114_740, thresholds, begin, end) == expected
+    assert _tally_span(3_764_114_740, thresholds, begin, end, _ramp(end - begin)) == expected
 
 
 def test_span_tally_matches_reference_words_across_counter_edge(monkeypatch):
@@ -428,7 +452,7 @@ def test_span_tally_matches_reference_words_across_counter_edge(monkeypatch):
     thresholds = [None, np.uint64(0), np.uint64(2**62), np.uint64(2**63), np.uint64(2**64 - 2**11)]
     words = [philox_reference(seed, i) for i in range(begin, end)]
     expected = [end - begin, *(sum(w < int(t) for w in words) for t in thresholds[1:])]
-    assert _tally_span(seed, thresholds, begin, end) == expected
+    assert _tally_span(seed, thresholds, begin, end, _ramp(end - begin)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +530,34 @@ def test_estimator_rejects_majority_absorption(reference_config):
         diffracted_to_detectors=0, seed=0, total=1000,
     )
     with pytest.raises(DomainError, match="1/2"):
+        estimate_metrics(counts, reference_config)
+
+
+@pytest.mark.parametrize(
+    "tallies,message",
+    [
+        ((-1, 1, 0, 0, 0), "counts must be non-negative"),
+        ((1, 0, 0, -1, 1), "counts must be non-negative"),
+        ((1, 0, 0, 2, 1), "diffracted_to_detectors is a subset of detected_own"),
+        ((5, 3, 2, 0, 11), "exclusive fates must sum to the total"),
+    ],
+    ids=["negative-fate", "negative-subset", "subset-exceeds", "sum-off"],
+)
+def test_fate_counts_reject_inconsistent_tallies(tallies, message):
+    own, absorbed, away, to_det, total = tallies
+    with pytest.raises(ValueError, match=message):
+        FateCounts(
+            detected_own=own, absorbed=absorbed, diffracted_away=away,
+            diffracted_to_detectors=to_det, seed=0, total=total,
+        )
+
+
+def test_estimator_rejects_an_empty_tally(reference_config):
+    counts = FateCounts(
+        detected_own=0, absorbed=0, diffracted_away=0,
+        diffracted_to_detectors=0, seed=0, total=0,
+    )
+    with pytest.raises(ValueError, match="counts.total must be positive"):
         estimate_metrics(counts, reference_config)
 
 

@@ -74,6 +74,14 @@ def test_readme_quotes_the_monte_carlo_chunking():
     )
 
 
+def test_readme_quotes_the_oracle_block_budget():
+    from wiregrid import oracle
+
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    power = re.search(r"blocks of about 2\*\*(\d+) bytes", text).group(1)
+    assert 2 ** int(power) == oracle._KERNEL_BYTES
+
+
 def test_readme_quotes_the_oracle_grid_cap():
     from wiregrid import oracle
 
