@@ -14,17 +14,16 @@ Parseval that total is 2 pi times the squared aperture field integrated
 over the strips (times the pattern's fixed scale), a closed form, so no
 pattern is sampled and the share does not depend on any sampled range.
 The window integral is composite Gauss-Legendre quadrature on panels of
-half an array lobe, on ``math`` unless numpy is loaded already (same bits).
+half an array lobe.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, fields
 
-from .complementarity import absorbed_fraction_two_beams, coverage_fraction
-from .config import ExperimentConfig
+from .complementarity import absorbed_fraction_two_beams, classical_whichway, coverage_fraction
+from .config import ExperimentConfig, loaded_numpy
 from .diffraction import _grid_intensity, _single_beam_amplitude, detector_windows
 from .errors import DomainError
 
@@ -113,8 +112,8 @@ def _window_integrals(intensity, q_windows, config: ExperimentConfig) -> list[fl
     on panels no wider than half an array lobe, pi / (M d).
 
     ``intensity`` runs on all nodes as one array if numpy is loaded, else per
-    node on ``math``, to the same bits, and ``math.fsum`` sums each window either
-    way.  16 nodes per panel agree with 1/20-lobe panels to ~1e-13.
+    node, and ``math.fsum`` sums each window either way.  16 nodes per panel
+    agree with 1/20-lobe panels to ~1e-13.
     """
     spans, q = [], []
     for q_lo, q_hi in q_windows:
@@ -124,15 +123,14 @@ def _window_integrals(intensity, q_windows, config: ExperimentConfig) -> list[fl
         mids = [q_lo + half * (2 * i + 1) for i in range(n)]
         q += [mid + u for mid in mids for u in offsets]
         spans.append((half, len(q) - 16 * n, len(q)))
-    if "numpy" in sys.modules:
-        np = sys.modules["numpy"]  # loaded already, so the array path costs no import
+    if np := loaded_numpy():
         weighted = (intensity(np.fromiter(q, float)).reshape(-1, 16) * _GL_WEIGHTS).ravel().tolist()
     else:
         weighted = [intensity(x) * w for x, w in zip(q, _GL_WEIGHTS * (len(q) // 16))]
     return [h * math.fsum(weighted[a:b]) for h, a, b in spans]
 
 
-def _two_beam_total(config: ExperimentConfig) -> float:
+def _two_beam_total(config: ExperimentConfig, x: float) -> float:
     """Integral over all q of ``two_beam_grid_intensity``: pi W x / (4 k^2).
 
     The intensity is |F|^2 / (4 k^2), k = pi / d, for the fringe field on the
@@ -140,7 +138,6 @@ def _two_beam_total(config: ExperimentConfig) -> float:
     over the strips, which is W x / 2 for the absorbed fraction x.
     """
     k = math.pi / config.wire_pitch
-    x = absorbed_fraction_two_beams(config)
     return math.pi * config.beam_side * x / (4.0 * k * k)
 
 
@@ -154,37 +151,41 @@ def _window_shares(config: ExperimentConfig, intensity, total: float, windows, a
 
     A window (theta_lo, theta_hi) maps to q = kappa (sin(theta) - axis),
     measured from a beam axis at sin(theta) = axis, and its integral is
-    divided by the Parseval total, so no pattern is sampled.
+    divided by the Parseval total, so no pattern is sampled; DomainError if
+    that total rounds to 0.
     """
+    if total == 0.0:
+        raise DomainError("the grid diffracts no power: its total over all q rounds to 0")
     kappa = 2.0 * math.pi / config.wavelength
     q = [(kappa * (math.sin(lo) - axis), kappa * (math.sin(hi) - axis)) for lo, hi in windows]
     return [integral / total for integral in _window_integrals(intensity, q, config)]
 
 
-def _two_beam_shares(config: ExperimentConfig, windows) -> list[float]:
-    """Shares of the two-beam diffracted power in each angle window."""
-    return _window_shares(
-        config, lambda q: _grid_intensity(abs(q), config), _two_beam_total(config), windows, 0.0
-    )
+def _two_beam_shares(config: ExperimentConfig, windows, total: float) -> list[float]:
+    """Shares of the two-beam diffracted power ``total`` in each angle window."""
+    return _window_shares(config, lambda q: _grid_intensity(abs(q), config), total, windows, 0.0)
 
 
 def band_fraction(config: ExperimentConfig, theta_lo: float, theta_hi: float) -> float:
     """Share of the two-beam diffracted power between theta_lo and theta_hi.
 
     The window integral of ``two_beam_grid_intensity`` in q = kappa sin(theta)
-    over its Parseval total; DomainError unless |edges| < pi/2 and lo <= hi.
+    over its Parseval total; DomainError unless |edges| < pi/2, lo <= hi and
+    the grid diffracts some power.
     """
     for name, theta in (("theta_lo", theta_lo), ("theta_hi", theta_hi)):
         if not abs(theta) < math.pi / 2:  # nan fails too
             raise DomainError(f"{name} must be finite with |{name}| < pi/2, got {theta!r}")
     if theta_lo > theta_hi:
         raise DomainError(f"theta_lo {theta_lo!r} must not exceed theta_hi {theta_hi!r}")
-    return _two_beam_shares(config, [(theta_lo, theta_hi)])[0]
+    total = _two_beam_total(config, absorbed_fraction_two_beams(config))
+    return _two_beam_shares(config, [(theta_lo, theta_hi)], total)[0]
 
 
 def detector_capture_fraction(config: ExperimentConfig) -> float:
-    """Fraction of the two-beam diffracted light landing in either detector window."""
-    return sum(_two_beam_shares(config, detector_windows(config)))
+    """Share of the two-beam diffracted light in either detector window; DomainError if none."""
+    total = _two_beam_total(config, absorbed_fraction_two_beams(config))
+    return sum(_two_beam_shares(config, detector_windows(config), total))
 
 
 def two_beam_budget(config: ExperimentConfig) -> PhotonBudget:
@@ -192,10 +193,14 @@ def two_beam_budget(config: ExperimentConfig) -> PhotonBudget:
 
     The diffracted total equals the absorbed x (Babinet accounting), the
     diffracted share reaching any detector is x * capture, and detected
-    photons are everything not absorbed and not diffracted away.
+    photons are everything not absorbed and not diffracted away.  Where the
+    diffracted power rounds to 0 no share of it reaches a detector; beyond
+    x = 1/2 the undisturbed share 1 - 2x is undefined (DomainError).
     """
     x = absorbed_fraction_two_beams(config)
-    f_det = detector_capture_fraction(config)
+    undisturbed = classical_whichway(x)
+    total = _two_beam_total(config, x)
+    f_det = sum(_two_beam_shares(config, detector_windows(config), total)) if total else 0.0
     diffracted_away = x * (1.0 - f_det)
     detected = 1.0 - x - diffracted_away
     return PhotonBudget(
@@ -204,7 +209,7 @@ def two_beam_budget(config: ExperimentConfig) -> PhotonBudget:
         diffracted_to_detectors=x * f_det,
         diffracted_away=diffracted_away,
         detected=detected,
-        undisturbed_detected=1.0 - 2.0 * x,
+        undisturbed_detected=undisturbed,
     )
 
 

@@ -9,21 +9,18 @@ classical which-way parameter tracks photons whose momentum was provably
 untouched, bounded below by 1 - 2x.  ``truth_table`` sets the grid beside
 the bare beams and the output beam splitter.
 
-Scalar inputs run on ``math`` and numpy is used only where an array
-arrives or, in ``sweep_thickness``, once it is loaded: ``metrics``, ``sweep``
-and ``scenario`` load no numpy.
+Each form runs on the module ``config.numeric`` picks for its argument.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import sys
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from typing import NamedTuple
 
-from .config import ExperimentConfig, check_wire_thickness
+from .config import ExperimentConfig, check_wire_thickness, loaded_numpy, numeric
 from .errors import DomainError
 
 
@@ -69,10 +66,10 @@ def _duality_sum(whichway, visibility):
 
 def _require(ok, message: str, *values) -> None:
     """Raise DomainError, ``message`` formatted by ``values`` where ``ok`` is first false."""
-    if ok is True or (ok is not False and ok.all()):
+    np = numeric(ok)
+    if ok is True or (np is not math and ok.all()):
         return
-    if ok is not False:
-        import numpy as np  # an array arrived, so numpy is loaded already
+    if np is not math:
         bad = np.logical_not(ok)
         values = [np.broadcast_to(v, np.shape(ok))[bad][0] for v in values]
     raise DomainError(message.format(*map(float, values)))
@@ -96,12 +93,7 @@ def absorbed_fraction_formula(b, d: float, wire_count: int, beam_side: float):
     M * (b/2 - (d / 2 pi) sin(pi b / d)) / (W / 2).
     Elementwise in b; a scalar b (int, float or 0-d array) gives a float.
     """
-    if isinstance(b, (int, float)):
-        sin = math.sin
-    else:
-        import numpy as np  # an array arrived, so numpy is loaded already
-        sin = np.sin
-    per_wire = b / 2.0 - (d / (2.0 * math.pi)) * sin(math.pi * b / d)
+    per_wire = b / 2.0 - (d / (2.0 * math.pi)) * numeric(b).sin(math.pi * b / d)
     x = wire_count * per_wire / (beam_side / 2.0)
     return x if getattr(x, "ndim", 0) else float(x)
 
@@ -292,8 +284,7 @@ def sweep_thickness(config: ExperimentConfig, b_values) -> list[SweepRow]:
     loaded, else per row on ``math``, to the same bits and the same errors.
     """
     d, wires, side = config.wire_pitch, config.wire_count, config.beam_side
-    if "numpy" in sys.modules:
-        np = sys.modules["numpy"]  # loaded already, so the array path costs no import
+    if np := loaded_numpy():
         b = np.fromiter(b_values, dtype=float)
         each, nonzero, listed = (lambda f, *cols: f(*cols)), np.count_nonzero, np.ndarray.tolist
     else:

@@ -7,12 +7,13 @@ included), so every instance satisfies the invariants of
 check it again.  It is immutable and safe to share between threads.
 
 This module is the one place that knows each field's default and kind
-(length, angle or count).
+(length, angle or count), and where every closed form picks ``math`` or numpy.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, fields, replace
 
 from .errors import ConfigError
@@ -23,6 +24,22 @@ COUNT_FIELDS = ("wire_count", "photon_count")
 
 # Small-angle scalar treatment breaks down well before this.
 MAX_CROSSING_ANGLE = 0.1
+
+
+def numeric(x):
+    """The module a closed form runs ``x`` on, to the same bits either way: ``math``
+    for an int or float (numpy's float64 included), so scalars load no numpy, else
+    numpy, loaded already since an array arrived."""
+    if isinstance(x, (int, float)):
+        return math
+    import numpy
+    return numpy
+
+
+def loaded_numpy():
+    """numpy if this process has loaded it, so a loop over scalars can run as one
+    array call (same bits) at no import cost, else None."""
+    return sys.modules.get("numpy")
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,9 @@ Every pattern the analysis uses is evaluated in closed form:
 * a uniform field on the wire strips, the diffracted component of one beam
   (``_single_beam_amplitude``), and the unmasked fringe (``_fringe_amplitude``).
 
-Scalars (``int`` or ``float``, numpy's float64 included) run on ``math``;
-numpy is imported only where an array arrives, so ``wiregrid pattern``
-and ``budget`` load no numpy, and the angle grid is a list
-(``symmetric_grid_list``).  The checks of these forms, their numpy grid
-and the sampled patterns live in ``oracle``.
+Each form runs on the module ``config.numeric`` picks for its argument, and
+the angle grid is a list (``symmetric_grid_list``).  The checks of these
+forms, their numpy grid and the sampled patterns live in ``oracle``.
 
 Everything is scalar Fraunhofer on the plane containing the beams; only
 ratios of band integrals mean anything physically.
@@ -23,15 +21,14 @@ from __future__ import annotations
 
 import math
 
-from .config import ExperimentConfig, wire_centers
+from .config import ExperimentConfig, numeric, wire_centers
 from .errors import DomainError
 
 
 def _sinc(x):
     """``np.sinc``, sin(pi x) / (pi x); a scalar x takes its steps on ``math``
     (y = pi x, float64 eps where y == 0, sin(y) / y) to the same bits."""
-    if not isinstance(x, (int, float)):
-        import numpy as np  # an array arrived, so numpy is loaded already
+    if (np := numeric(x)) is not math:
         return np.sinc(x)
     y = math.pi * x or math.ulp(1.0)
     return math.sin(y) / y
@@ -43,11 +40,7 @@ def _array_factor(v, wire_count: int):
     Successive dark fringes carry opposite field slopes, so the pairs at
     +-pitch/2, +-3*pitch/2, ... enter with alternating sign.
     """
-    if isinstance(v, (int, float)):
-        sin = math.sin
-    else:
-        import numpy as np  # an array arrived, so numpy is loaded already
-        sin = np.sin
+    sin = numeric(v).sin
     out = sin(v)
     for m in range(3, wire_count, 2):
         term = sin(m * v)
@@ -88,15 +81,12 @@ def two_beam_grid_intensity(theta, config: ExperimentConfig):
     |sin theta|) and exactly zero at theta = 0.  A scalar or 0-d theta
     gives a float, an array an array.
     """
-    if isinstance(theta, (int, float)):
-        inside, sin = abs(theta) < math.pi / 2, math.sin
-    else:
-        import numpy as np  # an array arrived, so numpy is loaded already
+    if (np := numeric(theta)) is not math:
         theta = np.asarray(theta, dtype=float)
-        inside, sin = np.all(np.abs(theta) < np.pi / 2), np.sin
-    if not inside:  # nan fails too
+    inside = abs(theta) < math.pi / 2
+    if not (inside if np is math else inside.all()):  # nan fails too
         raise ValueError("theta must satisfy |theta| < pi/2")
-    intensity = _grid_intensity(2.0 * math.pi / config.wavelength * abs(sin(theta)), config)
+    intensity = _grid_intensity(2.0 * math.pi / config.wavelength * abs(np.sin(theta)), config)
     return intensity if getattr(intensity, "ndim", 0) else float(intensity)
 
 
@@ -135,15 +125,11 @@ def symmetric_grid_list(half_range: float, n: int) -> list[float]:
 def _single_beam_amplitude(config: ExperimentConfig, q):
     """Closed-form far field of a unit uniform field on the wire strips.
 
-    With q measured from the beam axis, a float on ``math`` or an array on numpy
-    to the same bits, this is b sinc(q b / 2) sum_j cos(q x_j), real because the
-    wire centres x_j are symmetric; ``_sinc`` is normalised, hence the 2 pi.
+    With q measured from the beam axis, this is b sinc(q b / 2) sum_j cos(q x_j),
+    real because the wire centres x_j are symmetric; ``_sinc`` is normalised,
+    hence the 2 pi.
     """
-    if isinstance(q, (int, float)):
-        cos = math.cos
-    else:
-        import numpy as np  # an array arrived, so numpy is loaded already
-        cos = np.cos
+    cos = numeric(q).cos
     b = config.wire_thickness
     array = 0.0  # a plain left fold: from 3.12 sum() compensates floats but not arrays
     for x in wire_centers(config):

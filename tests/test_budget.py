@@ -226,6 +226,30 @@ def test_thin_wire_budget_degenerates(reference_config):
     assert budget.diffracted_to_detectors < budget.absorbed
 
 
+# x = M (b/2 - (d / 2 pi) sin(pi b / d)) / (W / 2) cancels to exactly 0 at the
+# first; at the second x = 2.3e-320, but its Parseval total pi W x / (4 k^2) rounds to 0
+POWERLESS_THICKNESSES = [1e-310, 1.0204081632653061e-310]
+
+
+@pytest.mark.parametrize("b", POWERLESS_THICKNESSES)
+def test_budget_of_a_grid_that_diffracts_no_power_detects_every_photon(b):
+    cfg = ExperimentConfig(wire_thickness=b)
+    budget = two_beam_budget(cfg)
+    assert (budget.detected, budget.undisturbed_detected, budget.diffracted_to_detectors) == (1.0, 1.0, 0.0)
+    assert budget.diffracted_away == budget.absorbed == absorbed_fraction_two_beams(cfg)
+
+
+@pytest.mark.parametrize("b", POWERLESS_THICKNESSES)
+@pytest.mark.parametrize(
+    "share",
+    [detector_capture_fraction, lambda cfg: band_fraction(cfg, *first_order_window(cfg))],
+    ids=["detector_capture_fraction", "band_fraction"],
+)
+def test_shares_of_a_grid_that_diffracts_no_power_are_a_domain_error(share, b):
+    with pytest.raises(DomainError, match="^the grid diffracts no power"):
+        share(ExperimentConfig(wire_thickness=b))
+
+
 @pytest.mark.parametrize("b", [2e-6, 5e-8])
 def test_budgets_do_not_warn_on_thin_wires(reference_config, b):
     # the window fractions are normalised by the exact total, so no sampled
@@ -345,7 +369,8 @@ def test_parseval_totals_match_dense_trapezoid(reference_config, b_um):
     b = cfg.wire_thickness
     k = math.pi / cfg.wire_pitch
     q = np.linspace(-0.999 * KAPPA, 0.999 * KAPPA, 2**19 + 1)
-    two = np.trapezoid(_two_beam_intensity_q(cfg)(q), q) / _two_beam_total(cfg)
+    two_total = _two_beam_total(cfg, absorbed_fraction_two_beams(cfg))
+    two = np.trapezoid(_two_beam_intensity_q(cfg)(q), q) / two_total
     strip = np.trapezoid(_strip_intensity_q(cfg)(q), q) / _strip_total(cfg)
     two_tail = 4 * math.sin(k * b / 2) ** 2 / (math.pi * KAPPA * (b - math.sin(k * b) / k))
     assert two == pytest.approx(1 - two_tail, abs=2e-4)
@@ -369,7 +394,8 @@ def test_window_integrals_match_dense_trapezoid(reference_config, b_um):
             dense[name, side] = np.trapezoid(intensity(q), q)
             quad = _window_integrals(intensity, [(q_lo, q_hi)], cfg)[0]
             assert quad == pytest.approx(dense[name, side], rel=1e-6, abs=0)
-    f_det = (dense["two", "neg"] + dense["two", "pos"]) / _two_beam_total(cfg)
+    two_total = _two_beam_total(cfg, absorbed_fraction_two_beams(cfg))
+    f_det = (dense["two", "neg"] + dense["two", "pos"]) / two_total
     assert detector_capture_fraction(cfg) == pytest.approx(f_det, rel=1e-6)
     single = single_beam_budget(cfg)
     f_own, f_wrong = (dense["strip", side] / _strip_total(cfg) for side in ("pos", "neg"))

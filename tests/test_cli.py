@@ -463,6 +463,30 @@ def test_overflow_is_exit_2_with_one_json_line(capsys):
         }
 
 
+def test_grid_that_diffracts_no_power_detects_every_photon(capsys):
+    # at 1e-310 m the absorbed fraction x rounds to 0: no window quadrature runs
+    assert main(["budget", "--override", "wire_thickness=1e-310m"]) == 0
+    two = json.loads(capsys.readouterr().out)["two_beam_fractions"]
+    assert (two["absorbed"], two["detected"], two["undisturbed_detected"]) == (0.0, 1.0, 1.0)
+    assert main(["simulate", "--override", "wire_thickness=1e-310m", "--override", "photon_count=1000"]) == 0
+    counts = json.loads(capsys.readouterr().out)["counts"]
+    assert (counts["detected_own"], counts["total"]) == (1000, 1000)
+
+
+@pytest.mark.parametrize("command", ["budget", "simulate", "metrics", "scenario"])
+def test_half_absorbing_grid_is_the_which_way_domain_error(capsys, command):
+    # x = 0.5618 > 1/2: each subcommand names the rule that broke, not a budget field
+    overrides = ["wire_pitch=300um", "wire_count=2", "beam_side=0.72mm", "wire_thickness=250um"]
+    assert main([command, *(a for o in overrides for a in ("--override", o))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "DomainError"
+    assert error["message"].startswith(
+        "classical which-way bound needs absorbed fraction in [0, 1/2], got 0.5618"
+    )
+
+
 def test_metrics_squares_the_largest_finite_area(capsys):
     # (1e150 mm) ** 2 is still a float, so metrics reports its intensities
     assert main(["metrics", "--override", "beam_side=1e147m"]) == 0
@@ -848,25 +872,44 @@ def test_budget_prints_the_library_budgets_bit_for_bit(overrides):
     assert printed["single_beam"] == single
 
 
+_BUDGET_OUTCOMES = (
+    "from wiregrid import band_fraction, first_order_window, single_beam_budget, two_beam_budget\n"
+    "def outcome(f, *args):\n"
+    "    try:\n"
+    "        return f(*args)\n"
+    "    except Exception as e:\n"
+    "        return type(e).__name__, str(e)\n"
+    "def outcomes(cfg):\n"
+    "    return repr((outcome(two_beam_budget, cfg), outcome(single_beam_budget, cfg),"
+    " outcome(band_fraction, cfg, *first_order_window(cfg))))\n"
+)
+
+
 def test_budgets_are_the_same_bits_with_and_without_numpy(reference_config, consistent_geometries):
     # a process that never imports numpy evaluates each window integrand per
-    # node on math; this one, with numpy loaded, evaluates it on one array
-    configs = [reference_config, *consistent_geometries(25, 300)]
+    # node on math; this one, with numpy loaded, evaluates it on one array.
+    # the diffracted power rounds to 0 at 1e-310 m (x = 0) and 1.02e-310 m
+    # (x > 0), and x exceeds 1/2 in the out-of-domain geometry: both paths must
+    # skip the same quadrature or raise the same error
+    edges = [
+        reference_config.replace(wire_thickness=1e-310),
+        reference_config.replace(wire_thickness=1.0204081632653061e-310),
+        OUT_OF_DOMAIN_CONFIG.replace(wire_thickness=250e-6),
+    ]
+    configs = [reference_config, *edges, *consistent_geometries(25, 300)]
     code = (
         "import sys\n"
-        "from wiregrid import ExperimentConfig, band_fraction, first_order_window,"
-        " single_beam_budget, two_beam_budget\n"
-        "for arg in sys.argv[1:]:\n"
-        "    cfg = eval(arg)\n"
-        "    print(repr((two_beam_budget(cfg), single_beam_budget(cfg),"
-        " band_fraction(cfg, *first_order_window(cfg)))))\n"
+        "from wiregrid import ExperimentConfig\n"
+        + _BUDGET_OUTCOMES
+        + "for arg in sys.argv[1:]:\n"
+        "    print(outcomes(eval(arg)))\n"
         "assert 'numpy' not in sys.modules\n"
     )
     printed = _stdout(_fresh_process(code, *map(repr, configs))).splitlines()
-    assert printed == [
-        repr((two_beam_budget(c), single_beam_budget(c), band_fraction(c, *first_order_window(c))))
-        for c in configs
-    ]
+    namespace = {}
+    exec(_BUDGET_OUTCOMES, namespace)
+    assert printed == [namespace["outcomes"](c) for c in configs]
+    assert all("DomainError" in line for line in printed[1:4])
 
 
 # in this narrow-beam geometry wires thicker than about 238 um absorb over half of an arm
