@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 
-from .config import ExperimentConfig, numeric, wire_centers
+from .config import ExperimentConfig, numeric
 from .errors import DomainError
 
 
@@ -34,18 +34,28 @@ def _sinc(x):
     return math.sin(y) / y
 
 
-def _array_factor(v, wire_count: int):
-    """Alternating grating sum for wires at consecutive dark fringes.
+# pi = _PI_HI + _PI_LO to 1.3e-24, a two-term split after Cody and Waite:
+# _PI_HI keeps 25 significant bits, so (n + pole) * _PI_HI is exact for |n| < 2**27.
+_PI_HI = 3.1415926218032837
+_PI_LO = 3.178650954705639e-08
 
-    Successive dark fringes carry opposite field slopes, so the pairs at
-    +-pitch/2, +-3*pitch/2, ... enter with alternating sign.
+
+def _dirichlet(u, wire_count: int, pole: float):
+    """Grating sum of M wires, (-1)^n sin(M t) / sin(t) with u = (n + pole) pi + t,
+    |t| <= pi/2, and M where sin(t) = 0.
+
+    Pole 0 at u = q d / 2 is sum_j cos(q x_j) over the wire centres x_j; pole 1/2
+    is twice the alternating sum sin(u) - sin(3u) + sin(5u) - ... over wires at
+    consecutive dark fringes.  sin(M t) and sin(t) share the reduced t, so the
+    ratio keeps full precision near a pole, at a cost per point free of M.
     """
-    sin = numeric(v).sin
-    out = sin(v)
-    for m in range(3, wire_count, 2):
-        term = sin(m * v)
-        out = out + term if m % 4 == 1 else out - term
-    return out
+    np = numeric(u)
+    a = np.floor(u / math.pi + (0.5 - pole)) + pole
+    t = (u - a * _PI_HI) - a * _PI_LO
+    t = t + np.copysign(2.0**-1000, t)  # moves only |t| < 2**-946, where the ratio is M
+    # (-1)^n sin(t) = sin(u - pole pi) has the sign of sin(u), or of -cos(u) at pole 1/2
+    m, side = (wire_count, np.sin(u)) if pole == 0 else (-wire_count, np.cos(u))
+    return np.sin(m * t) / np.copysign(np.sin(t), side)
 
 
 def _strip_transform(q, config: ExperimentConfig):
@@ -66,7 +76,7 @@ def _strip_transform(q, config: ExperimentConfig):
 def _grid_intensity(q, config: ExperimentConfig):
     """Two-beam grid intensity at non-negative q = kappa sin(theta)."""
     v = q * (config.wire_pitch / 2.0)
-    amp = _strip_transform(q, config) * _array_factor(v, config.wire_count)
+    amp = _strip_transform(q, config) * (0.5 * _dirichlet(v, config.wire_count, 0.5))
     return amp * amp
 
 
@@ -75,7 +85,8 @@ def two_beam_grid_intensity(theta, config: ExperimentConfig):
 
     Closed form: I(theta) = [T(q) A(q d / 2)]^2 with q = kappa sin(theta),
     T the transform of the fringe field on one wire over k = pi / d
-    (``_strip_transform``) and A the alternating array factor.  The
+    (``_strip_transform``) and A the alternating array factor
+    (``_dirichlet`` at pole 1/2, halved).  The
     complement field on the strips transforms to 2 k T A, so I is
     |F|^2 / (4 k^2).  Even in theta by construction (evaluated on
     |sin theta|) and exactly zero at theta = 0.  A scalar or 0-d theta
@@ -93,9 +104,9 @@ def two_beam_grid_intensity(theta, config: ExperimentConfig):
 def first_order_window(config: ExperimentConfig) -> tuple[float, float]:
     """Angles (lo, hi) of the zeros bracketing the positive first grating order.
 
-    The alternating array factor sums to +-sin(M v) / (2 cos v) with
-    v = q d / 2, so the order at v = pi/2 sits between the zeros at
-    v = pi/2 -+ pi/M, i.e. sin(theta) = (lambda / 2d)(1 -+ 2/M).  For M = 2
+    The order sits at the pole v = q d / 2 = pi/2 of the array factor
+    (``_dirichlet``), between its zeros at v = pi/2 -+ pi/M, i.e.
+    sin(theta) = (lambda / 2d)(1 -+ 2/M).  For M = 2
     the lower zero is theta = 0.  Raises DomainError when the upper zero
     lies beyond grazing angle.
     """
@@ -127,13 +138,10 @@ def _single_beam_amplitude(config: ExperimentConfig, q):
 
     With q measured from the beam axis, this is b sinc(q b / 2) sum_j cos(q x_j),
     real because the wire centres x_j are symmetric; ``_sinc`` is normalised,
-    hence the 2 pi.
+    hence the 2 pi, and the sum is ``_dirichlet`` at q d / 2.
     """
-    cos = numeric(q).cos
     b = config.wire_thickness
-    array = 0.0  # a plain left fold: from 3.12 sum() compensates floats but not arrays
-    for x in wire_centers(config):
-        array = array + cos(q * x)
+    array = _dirichlet(q * (config.wire_pitch / 2.0), config.wire_count, 0.0)
     return b * _sinc(q * b / (2.0 * math.pi)) * array
 
 

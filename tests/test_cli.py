@@ -732,6 +732,11 @@ def _argv(draw):
     for flag, *_ in _COMMANDS[name][2]:
         if draw(st.booleans()):
             argv += [flag, str(draw(st.integers(0, 20)))]
+    # a large valid grid: up to 2000 wires, in a beam that holds them; not for validate,
+    # whose oracle takes about 2 s near its 2**17-node aperture cap whatever M is
+    if name != "validate" and draw(st.booleans()):
+        count = 2 * draw(st.integers(1, 1000))
+        argv += ["--override", f"wire_count={count}", "--override", f"beam_side={count}mm"]
     keys = draw(st.lists(st.sampled_from(list(DEFAULTS)), max_size=3))
     for key in keys:
         value = draw(st.sampled_from(_EDGE_VALUES)) + draw(st.sampled_from(_EDGE_UNITS))
@@ -896,7 +901,8 @@ def test_budgets_are_the_same_bits_with_and_without_numpy(reference_config, cons
         reference_config.replace(wire_thickness=1.0204081632653061e-310),
         OUT_OF_DOMAIN_CONFIG.replace(wire_thickness=250e-6),
     ]
-    configs = [reference_config, *edges, *consistent_geometries(25, 300)]
+    large = reference_config.replace(wire_count=600, beam_side=0.2)
+    configs = [reference_config, *edges, large, *consistent_geometries(25, 300)]
     code = (
         "import sys\n"
         "from wiregrid import ExperimentConfig\n"

@@ -20,8 +20,15 @@ from wiregrid import (
     wire_centers,
     wire_strip_complement_profile,
 )
+import wiregrid.diffraction
 import wiregrid.oracle
-from wiregrid.diffraction import _single_beam_amplitude, _sinc, symmetric_grid_list
+from wiregrid.diffraction import (
+    _dirichlet,
+    _grid_intensity,
+    _single_beam_amplitude,
+    _sinc,
+    symmetric_grid_list,
+)
 from wiregrid.errors import BandRangeError
 from wiregrid.oracle import (
     DiffractionPattern,
@@ -67,6 +74,8 @@ def test_scalar_intensity_equals_the_array_path_bit_for_bit(reference_config, co
         assert _sinc(x) == np.sinc(x)
     cases = [(reference_config, 0.01, 4001)]  # pattern's default grid
     cases += [(c, 3.0 * first_order_window(c)[1], 201) for c in consistent_geometries(23, 200)]
+    large = [reference_config.replace(wire_count=m, beam_side=m * 1e-3) for m in (150, 600, 2000)]
+    cases += [(c, 3.0 * first_order_window(c)[1], 2001) for c in large]
     for config, half_range, n in cases:
         theta = symmetric_grid(half_range, n)
         assert symmetric_grid_list(half_range, n) == theta.tolist()
@@ -106,6 +115,67 @@ def test_closed_form_matches_extended_precision(reference_config):
         assert two_beam_grid_intensity(theta, reference_config) == pytest.approx(
             reference(theta), rel=1e-9, abs=0
         )
+
+
+def _grating_sum_longdouble(u, wire_count, pole):
+    """The sums ``_dirichlet`` stands for, term by term in long double: each
+    argument (odd m) * u is exact in the 64-bit significand for M < 2**11."""
+    u = np.asarray(u, dtype=np.longdouble)[:, None]
+    odd = np.arange(1, wire_count, 2, dtype=np.longdouble)
+    if pole == 0:  # sum_j cos(2 u x_j / d), x_j / d = +-1/2, +-3/2, ...
+        return 2 * np.cos(odd * u).sum(axis=1)
+    return 2 * ((-1) ** np.arange(wire_count // 2) * np.sin(odd * u)).sum(axis=1)
+
+
+@pytest.mark.parametrize("pole", [0.0, 0.5])
+@pytest.mark.parametrize("wire_count", [2, 6, 12, 150, 600])
+def test_dirichlet_matches_the_direct_sum_in_extended_precision(wire_count, pole):
+    # at the poles (n + pole) pi, within 1e-12 and 1e-6 of them, at the array
+    # zeros beside them and at seeded points between, on both signs of u; the
+    # scalar path gives the same bits, and u = +-0 the peak M
+    rng = np.random.default_rng(wire_count)
+    poles = np.array([-499, -7, -1, 0, 1, 2, 7, 50, 499]) + pole
+    offsets = [0.0, 1e-12, -1e-12, 1e-6, -1e-6, *(k * math.pi / wire_count for k in (-2, -1, 1, 2))]
+    u = np.concatenate([poles * math.pi + x for x in offsets] + [rng.uniform(-1600, 1600, 100)])
+    reference = _grating_sum_longdouble(u, wire_count, pole)
+    ours = _dirichlet(u, wire_count, pole)
+    assert float(np.max(np.abs(ours - reference))) <= 1e-15 * wire_count
+    assert [_dirichlet(x, wire_count, pole) for x in u.tolist()] == ours.tolist()
+    if pole == 0:
+        assert _dirichlet(0.0, wire_count, pole) == _dirichlet(-0.0, wire_count, pole) == wire_count
+
+
+class _CountingNumpy:
+    """numpy, counting the calls of its sin and cos."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        function = getattr(np, name)
+        if name not in ("sin", "cos"):
+            return function
+
+        def counted(*args):
+            self.calls += 1
+            return function(*args)
+
+        return counted
+
+
+def test_grating_sums_cost_the_same_trig_calls_at_any_wire_count(reference_config, monkeypatch):
+    # both closed forms on one q array: the count of sin and cos calls must
+    # not grow with the number of wires
+    q = np.linspace(-3e5, 3e5, 97)
+    calls = []
+    for m in (2, 12, 600, 2000):
+        cfg = reference_config.replace(wire_count=m, beam_side=m * reference_config.wire_pitch)
+        counting = _CountingNumpy()
+        monkeypatch.setattr(wiregrid.diffraction, "numeric", lambda x: counting)
+        _grid_intensity(np.abs(q), cfg)
+        _single_beam_amplitude(cfg, q)
+        calls.append(counting.calls)
+    assert calls[0] > 0 and calls == [calls[0]] * 4
 
 
 def test_first_side_peak_location_via_sweep(reference_config):
@@ -512,7 +582,7 @@ def test_first_peak_bounds_bracket_detector_angle(reference_config):
     assert hi == pytest.approx(0.001 * 4 / 3, rel=1e-2)
 
 
-@pytest.mark.parametrize("wire_count", [2, 4, 6, 8, 10, 12])
+@pytest.mark.parametrize("wire_count", [2, 4, 6, 8, 10, 12, 150, 600])
 def test_first_order_window_is_bracketed_by_zeros(reference_config, wire_count):
     # the beam must hold M pitches; widen it where the reference width does not
     cfg = reference_config.replace(
