@@ -20,12 +20,11 @@ half an array lobe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 
 from .complementarity import absorbed_fraction_two_beams, classical_whichway, coverage_fraction
-from .config import ExperimentConfig, loaded_numpy
+from .config import ExperimentConfig, _record, loaded_numpy
 from .diffraction import _grid_intensity, _single_beam_amplitude, detector_windows
-from .errors import DomainError
+from .errors import DomainError, SamplingError
 
 
 # 16-point Gauss-Legendre nodes and weights on [-1, 1]: numpy's leggauss(16) to the bit.
@@ -42,23 +41,29 @@ _GL_WEIGHTS = (
     0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
 )
 
+# 2000 wires at the reference optics need 64,000 window nodes per budget, a window
+# out to |theta| near pi/2 on the reference grid 95,760; 1e-300 m light, 1.2e296.
+_MAX_WINDOW_NODES = 2**20
 
-@dataclass(frozen=True)
-class PhotonBudget:
+
+def _fractions(budget):
+    """``budget``, if each of its fields is a fraction in [0, 1]; else ValueError."""
+    for name, v in zip(budget._fields, budget):
+        if not (0.0 <= v <= 1.0):
+            raise ValueError(f"{name} must be a fraction in [0, 1], got {v!r}")
+    return budget
+
+
+class PhotonBudget(_record("PhotonBudget", (
+    "absorbed", "covered", "diffracted_to_detectors", "diffracted_away", "detected",
+    "undisturbed_detected",
+))):
     """Normalized photon fates per source arm, two beams on, grid in place."""
 
-    absorbed: float
-    covered: float
-    diffracted_to_detectors: float
-    diffracted_away: float
-    detected: float
-    undisturbed_detected: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{f.name} must be a fraction in [0, 1], got {v!r}")
+    def __new__(cls, *args, **kwargs):
+        self = _fractions(super().__new__(cls, *args, **kwargs))
         if self.diffracted_to_detectors > self.absorbed + 1e-15:
             raise ValueError("diffracted_to_detectors cannot exceed absorbed, the diffracted total")
         residual = self.absorbed + self.diffracted_away + self.detected - 1.0
@@ -70,6 +75,7 @@ class PhotonBudget:
                 "detected must equal undisturbed_detected + diffracted_to_detectors, "
                 f"off by {residual:g}"
             )
+        return self
 
     def fate_probabilities(self) -> tuple[float, float, float, float]:
         """(undisturbed-detected, absorbed, diffracted-away, diffracted-to-detector)."""
@@ -90,21 +96,16 @@ class PhotonBudget:
         }
 
 
-@dataclass(frozen=True)
-class SingleBeamBudget:
+class SingleBeamBudget(_record("SingleBeamBudget", "blocked own_detector_decrease wrong_detector")):
     """Photon fates for one beam alone (uniform illumination of the grid)."""
 
-    blocked: float
-    own_detector_decrease: float
-    wrong_detector: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{f.name} must be a fraction in [0, 1], got {v!r}")
+    def __new__(cls, *args, **kwargs):
+        self = _fractions(super().__new__(cls, *args, **kwargs))
         if self.own_detector_decrease < self.blocked - 1e-12:
             raise ValueError("own_detector_decrease must include at least the blocked share")
+        return self
 
 
 def _window_integrals(intensity, q_windows, config: ExperimentConfig) -> list[float]:
@@ -113,11 +114,17 @@ def _window_integrals(intensity, q_windows, config: ExperimentConfig) -> list[fl
 
     ``intensity`` runs on all nodes as one array if numpy is loaded, else per
     node, and ``math.fsum`` sums each window either way.  16 nodes per panel
-    agree with 1/20-lobe panels to ~1e-13.
+    agree with 1/20-lobe panels to ~1e-13.  More than ``_MAX_WINDOW_NODES``
+    nodes in all are refused with a ``SamplingError``, counted before any is built.
     """
+    panels = [
+        max(1, math.ceil((q_hi - q_lo) * config.wire_count * config.wire_pitch / math.pi))
+        for q_lo, q_hi in q_windows
+    ]
+    if (nodes := 16 * sum(panels)) > _MAX_WINDOW_NODES:
+        raise SamplingError(f"window quadrature needs {nodes} nodes, above the cap of {_MAX_WINDOW_NODES}")
     spans, q = [], []
-    for q_lo, q_hi in q_windows:
-        n = max(1, math.ceil((q_hi - q_lo) * config.wire_count * config.wire_pitch / math.pi))
+    for (q_lo, q_hi), n in zip(q_windows, panels):
         half = (q_hi - q_lo) / (2 * n)
         offsets = [half * t for t in _GL_NODES]
         mids = [q_lo + half * (2 * i + 1) for i in range(n)]

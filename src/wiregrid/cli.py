@@ -20,11 +20,11 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass, field, fields
 
 from . import __version__
 from .config import (
-    COUNT_FIELDS, DEFAULTS, LENGTH_FIELDS, ExperimentConfig, derive_geometry, positive_finite_error,
+    COUNT_FIELDS, DEFAULTS, LENGTH_FIELDS, ExperimentConfig, _record, derive_geometry,
+    positive_finite_error,
 )
 from .errors import ConfigError, ConfigParseError, DomainError, WiregridError
 
@@ -34,16 +34,14 @@ ANGLE_UNITS = {"rad": 1.0, "mrad": 1e-3}
 _VALUE_RE = re.compile(r"^([+-]?[0-9.]+(?:[eE][+-]?[0-9]+)?)\s*([A-Za-z]*)$")
 
 
-@dataclass
-class RunRequest:
-    """One CLI invocation after argument parsing."""
+class RunRequest(_record(
+    "RunRequest", "subcommand config_path output_format output_path overrides options",
+    (None, "json", "-", (), ()),
+)):
+    """One CLI invocation after argument parsing: the ``--override`` strings, and
+    the subcommand's own keyword options as a mapping or (name, value) pairs."""
 
-    subcommand: str
-    config_path: str | None = None
-    output_format: str = "json"
-    output_path: str = "-"
-    overrides: list[str] = field(default_factory=list)
-    options: dict = field(default_factory=dict)
+    __slots__ = ()
 
 
 def _parse_value(key: str, raw: str, line: int | None = None) -> float | int:
@@ -130,15 +128,12 @@ def load_config(request: RunRequest) -> ExperimentConfig:
 # emission
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Report:
+class Report(_record("Report", "sections table exit_code", (None, 0))):
     """A subcommand's result before a format is chosen: the JSON ``sections``
     (``run`` puts the config echo first), the CSV ``table`` as ``(header,
     rows)`` (None: CSV flattens the sections) and the exit code."""
 
-    sections: dict
-    table: tuple[list[str], list] | None = None
-    exit_code: int = 0
+    __slots__ = ()
 
 
 def _fmt(value) -> str:
@@ -221,7 +216,7 @@ def _cmd_budget(config: ExperimentConfig) -> Report:
     from .diffraction import detector_windows
 
     two = two_beam_budget(config)
-    single = asdict(single_beam_budget(config))
+    single = single_beam_budget(config)._asdict()
     windows = detector_windows(config)
     n = config.photon_count
     single_counts = {name: fraction * n for name, fraction in single.items()}
@@ -231,7 +226,7 @@ def _cmd_budget(config: ExperimentConfig) -> Report:
             "positive": list(windows[1]),
             "half_width": config.detector_half_width,
         },
-        "two_beam_fractions": asdict(two),
+        "two_beam_fractions": two._asdict(),
         "two_beam_counts": two.expected_counts(n),
         "single_beam": {**single, "detector_half_width_rad": config.detector_half_width},
         "single_beam_counts": single_counts,
@@ -318,7 +313,7 @@ def _cmd_scenario(config: ExperimentConfig) -> Report:
     for sr in truth_table(config):
         # the row's own fields, then its report's, whose bounds print without "_lower"
         values = {**sr._asdict(), "visibility_measured": sr.visibility_measured}
-        values.update((name.removesuffix("_lower"), v) for name, v in vars(sr.report).items())
+        values.update((name.removesuffix("_lower"), v) for name, v in sr.report.as_dict().items())
         table.append([values[c] for c in header])
     return _table_report("scenarios", header, table)
 
@@ -365,8 +360,8 @@ def run(request: RunRequest) -> int:
     if request.output_format not in ("csv", "json"):
         raise ConfigParseError(f"unknown output format {request.output_format!r}")
     config = load_config(request)
-    report = _COMMANDS[request.subcommand][0](config, **request.options)
-    sections = {"config": {**config.as_dict(), **asdict(derive_geometry(config))}, **report.sections}
+    report = _COMMANDS[request.subcommand][0](config, **dict(request.options))
+    sections = {"config": {**config.as_dict(), **derive_geometry(config)._asdict()}, **report.sections}
     buffer = io.StringIO()
     if request.output_format == "csv" and report.table is not None:
         emit_rows(*report.table, buffer)
@@ -418,7 +413,7 @@ def _request_from_args(args: argparse.Namespace) -> RunRequest:
     """argparse writes RunRequest's fields by name; whatever else the user gave
     goes to the subcommand."""
     options = dict(vars(args))
-    common = {f.name: options.pop(f.name) for f in fields(RunRequest) if f.name in options}
+    common = {name: options.pop(name) for name in RunRequest._fields if name in options}
     return RunRequest(**common, options=options)
 
 

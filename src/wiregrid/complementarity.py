@@ -16,46 +16,56 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import asdict, dataclass, field
 from itertools import repeat
-from typing import NamedTuple
 
-from .config import ExperimentConfig, check_wire_thickness, loaded_numpy, numeric
+from .config import ExperimentConfig, _record, check_wire_thickness, loaded_numpy, numeric
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class ComplementarityReport:
+class ComplementarityReport(_record("ComplementarityReport", (
+    "visibility_lower", "quantum_whichway", "classical_whichway_lower", "quantum_sum",
+    "classical_sum", "quantum_inequality_satisfied", "classical_sum_below_two",
+))):
     """V, K and K' with both duality sums and their verdicts.
 
     Built from the three bounds alone: each must lie in [0, 1] (DomainError,
     checked in the order K, K', V), and the sums K^2 + V^2 and K'^2 + V^2
-    and their verdicts follow from them, so ``dataclasses.replace``
-    recomputes them.
+    and their verdicts follow from them, so ``replace`` (also ``_replace``)
+    recomputes them, and ``_make`` refuses fields that do not follow.
     """
 
-    visibility_lower: float
-    quantum_whichway: float
-    classical_whichway_lower: float
-    quantum_sum: float = field(init=False)
-    classical_sum: float = field(init=False)
-    quantum_inequality_satisfied: bool = field(init=False)
-    classical_sum_below_two: bool = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("quantum_whichway", "classical_whichway_lower", "visibility_lower"):
-            v = getattr(self, name)
+    def __new__(cls, visibility_lower, quantum_whichway, classical_whichway_lower):
+        for name, v in zip(("quantum_whichway", "classical_whichway_lower", "visibility_lower"),
+                           (quantum_whichway, classical_whichway_lower, visibility_lower)):
             if not (0.0 <= v <= 1.0):
                 raise DomainError(f"{name} must lie in [0, 1], got {v!r}")
-        quantum_sum = _duality_sum(self.quantum_whichway, self.visibility_lower)
-        classical_sum = _duality_sum(self.classical_whichway_lower, self.visibility_lower)
-        object.__setattr__(self, "quantum_sum", quantum_sum)
-        object.__setattr__(self, "classical_sum", classical_sum)
-        object.__setattr__(self, "quantum_inequality_satisfied", quantum_sum <= 1.0)
-        object.__setattr__(self, "classical_sum_below_two", classical_sum < 2.0)
+        quantum_sum = _duality_sum(quantum_whichway, visibility_lower)
+        classical_sum = _duality_sum(classical_whichway_lower, visibility_lower)
+        return tuple.__new__(cls, (
+            visibility_lower, quantum_whichway, classical_whichway_lower,
+            quantum_sum, classical_sum, quantum_sum <= 1.0, classical_sum < 2.0,
+        ))
+
+    def __getnewargs__(self):
+        return self[:3]
+
+    @classmethod
+    def _make(cls, values):
+        values = tuple(values)
+        if (report := cls(*values[:3])) != values:
+            raise ValueError(f"sums and verdicts must follow from the bounds, got {values!r}")
+        return report
+
+    def replace(self, **changes) -> "ComplementarityReport":
+        """The report with some of V, K and K' changed, its sums and verdicts recomputed."""
+        return type(self)(**dict(zip(self._fields, self.__getnewargs__()), **changes))
+
+    _replace = replace
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _duality_sum(whichway, visibility):
@@ -193,18 +203,15 @@ def grid_metrics(config: ExperimentConfig) -> ComplementarityReport:
     return fraction_report(absorbed_fraction_two_beams(config), coverage_fraction(config))
 
 
-class ScenarioReport(NamedTuple):
-    """One row of the truth table: a configuration, its bounds and why.
+class ScenarioReport(_record("ScenarioReport", "scenario grid output_beam_splitter report rationale")):
+    """One row of the truth table: a configuration, its bounds (a
+    ``ComplementarityReport``) and why.
 
     The wire grid and the output beam splitter are never combined: the grid
     probes the fringes in place, the splitter replaces the crossing.
     """
 
-    scenario: str
-    grid: bool
-    output_beam_splitter: bool
-    report: ComplementarityReport
-    rationale: str
+    __slots__ = ()
 
     @property
     def visibility_measured(self) -> bool:
@@ -249,26 +256,19 @@ def truth_table(config: ExperimentConfig) -> list[ScenarioReport]:
     ]
 
 
-class SweepRow(NamedTuple):
+class SweepRow(_record("SweepRow", (
+    "wire_thickness", "absorbed", "covered", "visibility_lower", "classical_whichway_lower",
+    "visibility_sq", "classical_sq", "quantum_sum", "classical_sum", "in_domain", "note",
+), ("",))):
     """One wire thickness in a sweep; bound columns are lower bounds.
 
     ``classical_whichway_lower`` and the classical columns after it are None
-    past the half-absorption point, with the reason in ``note``.  The field
-    order is the ``sweep`` CSV column order, and ``row._asdict()`` is the
-    printed row (the CLI shows the thickness in um).
+    past the half-absorption point, with the reason in ``note`` (else "").
+    The field order is the ``sweep`` CSV column order, and ``row._asdict()``
+    is the printed row (the CLI shows the thickness in um).
     """
 
-    wire_thickness: float
-    absorbed: float
-    covered: float
-    visibility_lower: float
-    classical_whichway_lower: float | None
-    visibility_sq: float
-    classical_sq: float | None
-    quantum_sum: float
-    classical_sum: float | None
-    in_domain: bool
-    note: str = ""
+    __slots__ = ()
 
 
 def sweep_thickness(config: ExperimentConfig, b_values) -> list[SweepRow]:

@@ -1,20 +1,21 @@
 """Experiment configuration and derived geometry.
 
 All lengths are stored in metres and all angles in radians.  An
-``ExperimentConfig`` is checked once, when it is built (``replace``
-included), so every instance satisfies the invariants of
-``validate_config``: the other modules take a config as valid and do not
-check it again.  It is immutable and safe to share between threads.
+``ExperimentConfig`` is a named tuple checked once, when it is built
+(``replace`` and ``_make`` included), so every instance satisfies the
+invariants of ``validate_config``: the other modules take a config as valid
+and do not check it again.  It is immutable and safe to share between threads.
 
 This module is the one place that knows each field's default and kind
-(length, angle or count), and where every closed form picks ``math`` or numpy.
+(length, angle or count), where every closed form picks ``math`` or numpy, and
+where every record type gets its base (``_record``).
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from collections import namedtuple
 
 from .errors import ConfigError
 
@@ -42,9 +43,28 @@ def loaded_numpy():
     return sys.modules.get("numpy")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Physical parameters of the crossed-beam wire-grid setup.
+def _record(typename: str, field_names, defaults=()) -> type:
+    """The named tuple a record type subclasses (with ``__slots__ = ()``, so no
+    attribute can be set), checking its values in ``__new__`` if it has any
+    invariant.  Its ``_make``, which ``_replace`` calls, builds through that
+    ``__new__``: namedtuple's own calls ``tuple.__new__`` and skips the check."""
+    base = namedtuple(typename, field_names, defaults=defaults)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
+
+
+# The reference defaults by field name, in field order: a desk-scale setup of
+# 638 nm light and six 32 um wires at 319 um pitch, placed where two 2.55 mm
+# square beams cross at 2 mrad.
+DEFAULTS = {
+    "wavelength": 638e-9, "wire_thickness": 32e-6, "wire_pitch": 319e-6, "wire_count": 6,
+    "beam_side": 2.55e-3, "crossing_angle": 0.002, "detector_half_width": 0.0005,
+    "photon_count": 1_000_000,
+}
+
+
+class ExperimentConfig(_record("ExperimentConfig", DEFAULTS, DEFAULTS.values())):
+    """Physical parameters of the crossed-beam wire-grid setup, ``DEFAULTS`` unless given.
 
     Attributes
     ----------
@@ -68,33 +88,19 @@ class ExperimentConfig:
         Photons per source arm used for count-based reporting.
     """
 
-    # Reference desk-scale setup: 638 nm light, six 32 um wires at 319 um
-    # pitch placed where two 2.55 mm square beams cross at 2 mrad.
-    wavelength: float = 638e-9
-    wire_thickness: float = 32e-6
-    wire_pitch: float = 319e-6
-    wire_count: int = 6
-    beam_side: float = 2.55e-3
-    crossing_angle: float = 0.002
-    detector_half_width: float = 0.0005
-    photon_count: int = 1_000_000
+    __slots__ = ()
 
-    def __post_init__(self):
-        validate_config(self)
+    def __new__(cls, *args, **kwargs):
+        return validate_config(super().__new__(cls, *args, **kwargs))
 
     def replace(self, **changes) -> "ExperimentConfig":
-        return replace(self, **changes)
+        return self._replace(**changes)
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-# The reference defaults by field name, in field order.
-DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
-
-
-@dataclass(frozen=True)
-class DerivedGeometry:
+class DerivedGeometry(_record("DerivedGeometry", "fringe_spacing fringe_consistency")):
     """Secondary quantities shared by the analysis modules.
 
     ``fringe_consistency`` is |fringe_spacing - wire_pitch| / wire_pitch;
@@ -102,8 +108,7 @@ class DerivedGeometry:
     wires at dark-fringe centres spaced by the pitch.
     """
 
-    fringe_spacing: float
-    fringe_consistency: float
+    __slots__ = ()
 
 
 def positive_finite_error(name: str, value) -> ConfigError:

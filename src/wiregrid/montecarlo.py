@@ -27,12 +27,11 @@ import math
 import operator
 import os
 import threading
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .complementarity import ComplementarityReport, coverage_fraction, fraction_report
-from .config import ExperimentConfig
+from .complementarity import coverage_fraction, fraction_report
+from .config import ExperimentConfig, _record
 from .errors import DomainError
 
 _PHILOX_M = np.uint64(0xD256D193)
@@ -174,37 +173,29 @@ def _word_threshold(edge: float) -> np.uint64 | None:
     return np.uint64(math.ceil(edge * 2.0**53) << 11)
 
 
-@dataclass(frozen=True)
-class FateCounts:
+class FateCounts(_record("FateCounts", (
+    "detected_own", "absorbed", "diffracted_away", "diffracted_to_detectors", "seed", "total",
+))):
     """Tallies of the exclusive fates plus the seed that produced them.
 
     ``diffracted_to_detectors`` is the subset of ``detected_own`` whose
     photons arrived by diffraction and therefore carry no path information.
     """
 
-    detected_own: int
-    absorbed: int
-    diffracted_away: int
-    diffracted_to_detectors: int
-    seed: int
-    total: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        counts = (
-            self.detected_own,
-            self.absorbed,
-            self.diffracted_away,
-            self.diffracted_to_detectors,
-        )
-        if any(c < 0 for c in counts):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if any(c < 0 for c in self[:4]):  # the four tallies
             raise ValueError("counts must be non-negative")
         if self.diffracted_to_detectors > self.detected_own:
             raise ValueError("diffracted_to_detectors is a subset of detected_own")
         if self.detected_own + self.absorbed + self.diffracted_away != self.total:
             raise ValueError("exclusive fates must sum to the total")
+        return self
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _usable_cores() -> int:
@@ -293,19 +284,16 @@ def sample_fates(budget: PhotonBudget, n: int, seed: int) -> FateCounts:
     )
 
 
-@dataclass(frozen=True)
-class EmpiricalMetrics:
+class EmpiricalMetrics(_record("EmpiricalMetrics", (
+    "absorbed_fraction", "absorbed_stderr", "visibility_stderr", "classical_stderr", "report",
+))):
     """Point estimates recovered from tallies, with delta-method errors.
 
     The V and K' estimates themselves are ``report.visibility_lower`` and
     ``report.classical_whichway_lower``.
     """
 
-    absorbed_fraction: float
-    absorbed_stderr: float
-    visibility_stderr: float
-    classical_stderr: float
-    report: ComplementarityReport
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         """Each estimate beside its error, then the rest of the report."""

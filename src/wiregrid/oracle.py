@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .complementarity import absorbed_fraction_two_beams
-from .config import ExperimentConfig, derive_geometry, wire_centers
+from .config import ExperimentConfig, _record, derive_geometry, wire_centers
 from .diffraction import (
     _fringe_amplitude,
     _single_beam_amplitude,
@@ -35,16 +34,14 @@ from .diffraction import (
 from .errors import BandRangeError, SamplingError
 
 
-@dataclass(frozen=True)
-class DiffractionPattern:
+class DiffractionPattern(_record("DiffractionPattern", "theta_samples intensity_samples")):
     """Relative intensity sampled on a strictly increasing angular grid."""
 
-    theta_samples: np.ndarray
-    intensity_samples: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        theta = np.asarray(self.theta_samples, dtype=float)
-        inten = np.asarray(self.intensity_samples, dtype=float)
+    def __new__(cls, theta_samples, intensity_samples):
+        theta = np.asarray(theta_samples, dtype=float)
+        inten = np.asarray(intensity_samples, dtype=float)
         if theta.ndim != 1 or theta.size < 3:
             raise ValueError("theta_samples must be a 1-D grid with at least 3 points")
         if inten.shape != theta.shape:
@@ -53,12 +50,10 @@ class DiffractionPattern:
             raise ValueError("theta_samples must be strictly increasing")
         if np.any(inten < 0) or not np.all(np.isfinite(inten)):
             raise ValueError("intensity samples must be finite and non-negative")
-        object.__setattr__(self, "theta_samples", theta)
-        object.__setattr__(self, "intensity_samples", inten)
+        return super().__new__(cls, theta, inten)
 
 
-@dataclass(frozen=True)
-class FieldProfile:
+class FieldProfile(_record("FieldProfile", "x_samples amplitude_samples wavelength")):
     """Scalar field amplitude sampled across the beam aperture.
 
     ``wavelength`` rides along because the far-field transform needs the
@@ -68,23 +63,20 @@ class FieldProfile:
     stays second-order accurate through it.
     """
 
-    x_samples: np.ndarray
-    amplitude_samples: np.ndarray
-    wavelength: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        x = np.asarray(self.x_samples, dtype=float)
-        amp = np.asarray(self.amplitude_samples, dtype=float)
+    def __new__(cls, x_samples, amplitude_samples, wavelength):
+        x = np.asarray(x_samples, dtype=float)
+        amp = np.asarray(amplitude_samples, dtype=float)
         if x.ndim != 1 or x.size < 2:
             raise ValueError("x_samples must be a 1-D grid with at least 2 points")
         if amp.shape != x.shape:
             raise ValueError("amplitude_samples must match x_samples in length")
         if not np.all(np.diff(x) > 0):
             raise ValueError("x_samples must be strictly increasing")
-        if self.wavelength <= 0:
+        if wavelength <= 0:
             raise ValueError("wavelength must be positive")
-        object.__setattr__(self, "x_samples", x)
-        object.__setattr__(self, "amplitude_samples", amp)
+        return super().__new__(cls, x, amp, wavelength)
 
 
 def symmetric_grid(half_range: float, n: int) -> np.ndarray:
@@ -340,13 +332,10 @@ def absorbed_fraction_quadrature(config: ExperimentConfig) -> float:
     return float(total / (config.beam_side / 2.0))
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(_record("Check", "name passed detail")):
     """One cross-check: its name, whether it passed, and the measured figure."""
 
-    name: str
-    passed: bool
-    detail: str
+    __slots__ = ()
 
 
 def crosscheck(config: ExperimentConfig) -> list[Check]:

@@ -8,8 +8,8 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ from wiregrid import (
     sweep_thickness,
     two_beam_budget,
 )
+from wiregrid.budget import _MAX_WINDOW_NODES
 from wiregrid.cli import (
     _COMMANDS, RunRequest, _linspace, _request_from_args, apply_overrides, build_parser, main,
     parse_config, run,
@@ -624,6 +625,21 @@ def test_theta_range_reaching_pi_over_2_names_the_flag(capsys, fmt):
         )
 
 
+@pytest.mark.parametrize("command", ["budget", "simulate"])
+def test_a_window_quadrature_beyond_its_node_cap_is_refused_at_once(capsys, command):
+    # at 1e-300 m each detector window spans about 4e294 half-lobe panels: counted, not built
+    start = time.perf_counter()
+    assert main([command, "--override", "wavelength=1e-300m"]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    err = json.loads(line)["error"]
+    assert err["type"] == "SamplingError"
+    assert err["message"].startswith("window quadrature needs ")
+    assert err["message"].endswith(f" nodes, above the cap of {_MAX_WINDOW_NODES}")
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_validate_rejects_invalid_config_before_any_check(capsys, fmt):
     # a config is checked when it is built, while the CLI loads it, so no
@@ -766,7 +782,7 @@ def test_every_argv_keeps_the_error_contract(argv):
 # The standard-library modules ``import wiregrid.cli`` may load beyond those
 # numpy already loads; every CLI run pays for each one at start-up.
 CLI_STDLIB_MODULES = {
-    "__future__", "_json", "argparse", "copy", "dataclasses", "gettext", "json",
+    "__future__", "_json", "argparse", "gettext", "json",
     "json.decoder", "json.encoder", "json.scanner",
 }
 
@@ -863,6 +879,18 @@ def test_each_subcommand_loads_only_the_modules_it_runs():
     assert numpy_loaded == {sub: sub not in NUMPY_FREE_SUBCOMMANDS for sub in SUBCOMMAND_MODULES}
 
 
+@pytest.mark.parametrize("sub", sorted(NUMPY_FREE_SUBCOMMANDS))
+def test_light_subcommands_load_neither_dataclasses_nor_inspect(sub):
+    # dataclasses, with the inspect it imports, took about 15 % of a light run's wall
+    code = (
+        "import os, sys\n"
+        "from wiregrid.cli import main\n"
+        "assert main([sys.argv[1], '--out', os.devnull]) == 0\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    assert _stdout(_fresh_process(code, sub)) == "[]\n"
+
+
 @pytest.mark.parametrize("overrides", [[], ["wire_count=4"], ["wire_count=12", "beam_side=5mm"]],
                          ids=["reference", "M4", "M12-W5mm"])
 def test_budget_prints_the_library_budgets_bit_for_bit(overrides):
@@ -872,8 +900,8 @@ def test_budget_prints_the_library_budgets_bit_for_bit(overrides):
     code = "import sys\nfrom wiregrid.cli import main\nsys.exit(main(['budget', *sys.argv[1:]]))\n"
     printed = json.loads(_stdout(_fresh_process(code, *args)))
     cfg = apply_overrides(ExperimentConfig(), overrides)
-    single = {**asdict(single_beam_budget(cfg)), "detector_half_width_rad": cfg.detector_half_width}
-    assert printed["two_beam_fractions"] == asdict(two_beam_budget(cfg))
+    single = {**single_beam_budget(cfg)._asdict(), "detector_half_width_rad": cfg.detector_half_width}
+    assert printed["two_beam_fractions"] == two_beam_budget(cfg)._asdict()
     assert printed["single_beam"] == single
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -167,7 +166,7 @@ def test_report_validates_ranges():
             with pytest.raises(DomainError, match=rf"^{name} must lie in \[0, 1\], got {bad!r}$"):
                 ComplementarityReport(**(bounds | {name: bad}))
             with pytest.raises(DomainError, match=f"^{name}"):
-                dataclasses.replace(ComplementarityReport(**bounds), **{name: bad})
+                ComplementarityReport(**bounds).replace(**{name: bad})
         # checked in the order K, K', V
         with pytest.raises(DomainError, match="^quantum_whichway"):
             _report(bad, bad, bad)
@@ -186,7 +185,7 @@ def test_report_derives_its_sums_and_verdicts(k, k_classical, v):
     assert report.quantum_inequality_satisfied is (k**2 + v**2 <= 1.0)
     assert report.classical_sum_below_two is (k_classical**2 + v**2 < 2.0)
     # a changed bound carries its own sums and verdicts, never the old ones
-    moved = dataclasses.replace(report, visibility_lower=0.1)
+    moved = report.replace(visibility_lower=0.1)
     assert moved == _report(k, k_classical, 0.1)
     assert moved.quantum_sum == k**2 + 0.1**2
     assert moved.classical_sum == k_classical**2 + 0.1**2

@@ -1,7 +1,7 @@
 """A config is checked once, when it is built: keep re-checks out of the package.
 
-``ExperimentConfig.__post_init__`` runs ``validate_config``, and
-``dataclasses.replace`` builds through it too, so a call anywhere else in
+``ExperimentConfig.__new__`` runs ``validate_config``, and ``replace``,
+``_replace`` and ``_make`` build through it too, so a call anywhere else in
 ``src/wiregrid`` would only check a config that is already valid.
 """
 
@@ -35,7 +35,7 @@ def test_validate_config_runs_only_when_a_config_is_built():
                 while scope in parents and not isinstance(scope, ast.FunctionDef):
                     scope = parents[scope]
                 calls.append((module, getattr(scope, "name", "<module>")))
-    assert calls == [("config.py", "__post_init__")]
+    assert calls == [("config.py", "__new__")]
 
 
 def test_only_the_package_root_imports_validate_config():

@@ -88,3 +88,11 @@ def test_readme_quotes_the_oracle_grid_cap():
     text = " ".join(README.read_text(encoding="utf-8").split())
     power, spelled = re.search(r"more than 2\*\*(\d+) \(([\d,]+)\) nodes", text).groups()
     assert 2 ** int(power) == int(spelled.replace(",", "")) == oracle._MAX_APERTURE_NODES
+
+
+def test_readme_quotes_the_window_node_cap():
+    from wiregrid import budget
+
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    power, spelled = re.search(r"than 2\*\*(\d+) \(([\d,]+)\) nodes, counted", text).groups()
+    assert 2 ** int(power) == int(spelled.replace(",", "")) == budget._MAX_WINDOW_NODES
